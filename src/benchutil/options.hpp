@@ -128,9 +128,6 @@
 //                          final flush at region exit; rank 0 then serves
 //                          the job-wide aggregate with no sidecar files
 //                          (unset/0 = off; clamped to 1 h)
-//   ASPEN_TELEMETRY_TRACE  base path: auto-enables tracing and writes
-//                          <base>.rank<r>.trace.json per rank at region
-//                          exit (merge with bench::merge_rank_traces)
 //   ASPEN_BENCH_SIDECARS   offnode_branch only: with live telemetry on,
 //                          non-zero also writes the per-rank sidecars plus
 //                          rank 0's <result>.live.json so the parent can
@@ -141,10 +138,9 @@
 //   ASPEN_WATCHDOG_MS      non-zero arms the stall watchdog: a rank whose
 //                          oldest pending remote op, progress gap (with
 //                          work pending), or send-queue drain exceeds this
-//                          many ms dumps <base>.rank<R>.health.json once
-//                          per stall episode; SIGUSR1 forces a dump
+//                          many ms writes <base>.rank<R>.dump.json (health
+//                          header + otrace ring) once per stall episode
 //                          (unset/0 = off)
-//   ASPEN_WATCHDOG_REPORT  report base path <base> above (default "aspen")
 //   ASPEN_TOP_INTERVAL_MS  aspen-top refresh interval when --interval is
 //                          not given (default 500, clamped to 1 min)
 //
@@ -153,7 +149,13 @@
 //                          job-unique trace id carried across the wire;
 //                          every hop it touches lands in the flight
 //                          recorder and the region-exit Perfetto export
-//                          (unset/0 = off, the default; 1 = every op)
+//                          <base>.rank<R>.otrace.json (unset/0 = off, the
+//                          default; 1 = every op). SIGUSR2 writes the
+//                          ring plus a health header to
+//                          <base>.rank<R>.dump.json
+//   ASPEN_TELEMETRY_TRACE  the artifact base <base> (default "aspen");
+//                          set without ASPEN_TRACE_SAMPLE it samples every
+//                          op
 //   ASPEN_TRACE_RING_BYTES per-rank flight-recorder ring size in bytes,
 //                          rounded down to a power-of-two slot count
 //                          (default 1 MiB, clamped to [4 KiB, 1 GiB])

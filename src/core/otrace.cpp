@@ -21,8 +21,12 @@ const char* to_string(stage s) noexcept {
   return "?";
 }
 
-std::string dump_path(const std::string& base, int rank) {
+std::string export_path(const std::string& base, int rank) {
   return base + ".rank" + std::to_string(rank) + ".otrace.json";
+}
+
+std::string dump_path(const std::string& base, int rank) {
+  return base + ".rank" + std::to_string(rank) + ".dump.json";
 }
 
 }  // namespace aspen::otrace
@@ -36,7 +40,6 @@ std::string dump_path(const std::string& base, int rank) {
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -82,7 +85,7 @@ struct ot_state {
   std::atomic<bool> handlers_installed{false};
   // Rendered once at configure/first-rank time so the signal handler only
   // reads plain bytes (std::string methods are not async-signal-safe).
-  char dump_path_buf[512] = "aspen.rank0.otrace.json";
+  char dump_path_buf[512] = "aspen.rank0.dump.json";
   std::atomic<bool> dump_path_valid{false};
   struct sigaction prev_segv{};
   struct sigaction prev_abrt{};
@@ -188,30 +191,24 @@ void apply_config_locked(ot_state& s, std::uint32_t sample,
   s.cap = cap;
   s.mask.store(cap - 1, std::memory_order_relaxed);
   s.ring.store(ring, std::memory_order_release);
-  render_dump_path_locked(s);
 }
 
 void ensure_configured_locked(ot_state& s) {
   if (s.configured) return;
+  const char* tb = std::getenv("ASPEN_TELEMETRY_TRACE");
+  const bool traced = tb != nullptr && *tb != '\0';
+  if (traced) s.base = tb;
+  // Naming an artifact base without a rate asks for a trace: every op.
+  const char* sv = std::getenv("ASPEN_TRACE_SAMPLE");
   const std::uint32_t sample =
-      parse_sample(std::getenv("ASPEN_TRACE_SAMPLE"));
-  const std::uint64_t ring_bytes =
-      parse_ring_bytes(std::getenv("ASPEN_TRACE_RING_BYTES"));
-  // Dump base: share the trace base when live tracing is on, else the
-  // watchdog's report base, else "aspen" — so one job's artifacts land
-  // together.
-  if (const char* tb = std::getenv("ASPEN_TELEMETRY_TRACE");
-      tb != nullptr && *tb != '\0') {
-    s.base = tb;
-  } else if (const char* wb = std::getenv("ASPEN_WATCHDOG_REPORT");
-             wb != nullptr && *wb != '\0') {
-    s.base = wb;
-  }
-  apply_config_locked(s, sample, ring_bytes);
+      traced && (sv == nullptr || *sv == '\0') ? 1 : parse_sample(sv);
+  apply_config_locked(s, sample,
+                      parse_ring_bytes(std::getenv("ASPEN_TRACE_RING_BYTES")));
+  render_dump_path_locked(s);
 }
 
 // ---------------------------------------------------------------------------
-// Async-signal-safe formatting (the crash-dump writer)
+// Async-signal-safe formatting (the one JSON writer)
 // ---------------------------------------------------------------------------
 
 std::size_t fmt_dec(char* out, std::uint64_t v) noexcept {
@@ -240,6 +237,7 @@ std::size_t fmt_hex(char* out, std::uint64_t v) noexcept {
 }
 
 struct sink {
+  explicit sink(int f) noexcept : fd(f) {}
   int fd;
   char buf[1024];
   std::size_t off = 0;
@@ -254,10 +252,14 @@ struct sink {
     off = 0;
   }
   void lit(const char* s) noexcept {
-    const std::size_t n = std::strlen(s);
-    if (off + n > sizeof buf) flush();
-    std::memcpy(buf + off, s, n);
-    off += n;
+    for (std::size_t n = std::strlen(s); n != 0;) {
+      if (off == sizeof buf) flush();
+      const std::size_t k = std::min(n, sizeof buf - off);
+      std::memcpy(buf + off, s, k);
+      off += k;
+      s += k;
+      n -= k;
+    }
   }
   void dec(std::uint64_t v) noexcept {
     if (off + 20 > sizeof buf) flush();
@@ -274,6 +276,30 @@ struct sink {
   void hex(std::uint64_t v) noexcept {
     if (off + 18 > sizeof buf) flush();
     off += fmt_hex(buf + off, v);
+  }
+  /// Nanoseconds as microseconds with three decimals (Perfetto's ts unit).
+  void usec(std::uint64_t ns) noexcept {
+    dec(ns / 1000);
+    char frac[5] = {'.', '0', '0', '0', '\0'};
+    for (int i = 3, v = static_cast<int>(ns % 1000); i > 0; --i, v /= 10)
+      frac[i] = static_cast<char>('0' + v % 10);
+    lit(frac);
+  }
+  /// `,"key":` — then the value; every field after an object's first.
+  void key(const char* k) noexcept {
+    lit(",\"");
+    lit(k);
+    lit("\":");
+  }
+  void num(const char* k, std::uint64_t v) noexcept {
+    key(k);
+    dec(v);
+  }
+  void str(const char* k, const char* v) noexcept {
+    key(k);
+    lit("\"");
+    lit(v);
+    lit("\"");
   }
 };
 
@@ -304,42 +330,60 @@ void for_each_record(Fn&& fn) noexcept {
   }
 }
 
-void dump_to_fd(int fd) noexcept {
-  ot_state& s = st();
-  sink out{fd};
-  out.lit("{\"otrace_dump\":true,\"rank\":");
-  out.sdec(s.rank.load(std::memory_order_relaxed));
-  out.lit(",\"records_appended\":");
-  out.dec(s.head.load(std::memory_order_relaxed));
-  out.lit(",\"ring_capacity\":");
-  out.dec(s.cap);
-  out.lit(",\"records\":[");
-  bool first = true;
-  for_each_record([&](std::uint64_t, const slot& sl) {
-    if (!first) out.lit(",");
-    first = false;
-    out.lit("\n{\"trace\":\"");
-    out.hex(sl.trace);
-    out.lit("\",\"stage\":\"");
-    out.lit(to_string(static_cast<stage>(sl.st)));
-    out.lit("\",\"t_ns\":");
-    out.dec(sl.t_ns);
-    out.lit(",\"aux\":\"");
-    out.hex(sl.aux);
-    out.lit("\",\"rank\":");
-    out.sdec(sl.rank);
-    out.lit(",\"tag\":");
-    out.dec(sl.tag);
-    out.lit("}");
-  });
-  out.lit("\n]}\n");
-  out.flush();
+/// One flow event binding a cross-rank hop (see kEdgeSalt*).
+void write_flow(sink& out, const char* ph, const slot& sl,
+                std::uint64_t id) noexcept {
+  out.lit(",\n{\"name\":\"hop\",\"cat\":\"otrace\"");
+  out.str("ph", ph);
+  out.key("pid");
+  out.sdec(sl.rank);
+  out.num("tid", sl.tag);
+  out.key("ts");
+  out.usec(sl.t_ns);
+  out.key("id");
+  out.lit("\"");
+  out.hex(id);
+  out.lit(ph[0] == 'f' ? "\",\"bp\":\"e\"}" : "\"}");
 }
 
-extern "C" void ot_sigusr2_handler(int) { dump_signal_safe(); }
+void write_health(sink& out, const telemetry::watchdog::report& h) noexcept {
+  out.lit(",\"health\":{\"rank\":");
+  out.sdec(h.rank);
+  out.str("reason", h.reason);
+  out.num("threshold_ms", h.threshold_ms);
+  out.num("pending_ops", h.pending_ops);
+  out.num("progress_gap_ms", h.progress_gap_ms);
+  out.num("state", static_cast<std::uint64_t>(h.state));
+  out.key("full");
+  out.lit(h.full ? "true" : "false");
+  if (h.full) {
+    out.num("detected_at_ns", h.detected_at_ns);
+    out.num("oldest_op_age_ms", h.oldest_op_age_ms);
+    out.str("oldest_op_class", h.oldest_op_class);
+  }
+  if (const telemetry::watchdog::transport_status* t = h.transport;
+      t != nullptr && t->valid) {
+    out.lit(",\"transport\":{\"sendq_bytes\":");
+    out.dec(t->sendq_bytes);
+    out.num("staged_msgs", t->staged_msgs);
+    out.num("oldest_sendq_age_ms", t->oldest_sendq_age_ns / 1'000'000u);
+    out.num("shm_ring_depth_bytes", t->shm_ring_depth_bytes);
+    out.num("shm_ring_high_water", t->shm_ring_high_water);
+    out.lit(",\"quiescence\":{\"frames_sent\":");
+    out.dec(t->frames_sent);
+    out.num("frames_delivered", t->frames_delivered);
+    out.lit("}}");
+  }
+  out.lit("}");
+}
+
+extern "C" void ot_sigusr2_handler(int) {
+  dump_signal_safe("signal");
+  telemetry::watchdog::request_report();
+}
 
 extern "C" void ot_crash_handler(int signo) {
-  dump_signal_safe();
+  dump_signal_safe(signo == SIGSEGV ? "sigsegv" : "sigabrt");
   // Restore the previous disposition and re-raise so the default crash
   // behavior (core dump, abort exit code) still happens.
   ot_state& s = st();
@@ -360,8 +404,7 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
   std::lock_guard<std::mutex> lk(s.mu);
   if (base != nullptr && *base != '\0') s.base = base;
   apply_config_locked(s, sample_n, ring_bytes);
-  if (s.ring.load(std::memory_order_relaxed) != nullptr)
-    render_dump_path_locked(s);
+  render_dump_path_locked(s);
 }
 
 bool enabled() noexcept { return sample_n() != 0; }
@@ -401,8 +444,7 @@ void set_thread_rank(int rank) noexcept {
       s.rank.compare_exchange_strong(expected, rank,
                                      std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lk(s.mu);
-    if (s.ring.load(std::memory_order_relaxed) != nullptr)
-      render_dump_path_locked(s);
+    if (s.configured) render_dump_path_locked(s);
   }
 }
 
@@ -460,8 +502,8 @@ void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {
   sl.commit.store(ticket + 1, std::memory_order_release);
 }
 
-void install_crash_handlers() noexcept {
-  if (!enabled()) return;
+void install_handlers() noexcept {
+  if (!enabled() && !telemetry::watchdog::enabled()) return;
   ot_state& s = st();
   bool expected = false;
   if (!s.handlers_installed.compare_exchange_strong(
@@ -480,16 +522,90 @@ void install_crash_handlers() noexcept {
   sigaction(SIGABRT, &crash, &s.prev_abrt);
 }
 
-void dump_signal_safe() noexcept {
+bool write_json(const char* path, int rank,
+                const telemetry::watchdog::report* health) noexcept {
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
   ot_state& s = st();
-  if (!s.dump_path_valid.load(std::memory_order_acquire)) return;
-  const int fd = ::open(s.dump_path_buf, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  dump_to_fd(fd);
+  sink out{fd};
+  out.lit("{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\","
+          "\"pid\":");
+  out.sdec(rank);
+  out.lit(",\"args\":{\"name\":\"rank ");
+  out.sdec(rank);
+  out.lit("\"}}");
+  for_each_record([&](std::uint64_t, const slot& sl) {
+    const auto stg = static_cast<stage>(sl.st);
+    out.lit(",\n{\"name\":\"");
+    out.lit(to_string(stg));
+    out.lit("\",\"cat\":\"otrace\",\"ph\":\"X\",\"pid\":");
+    out.sdec(sl.rank);
+    out.num("tid", sl.tag);
+    out.key("ts");
+    out.usec(sl.t_ns);
+    out.lit(",\"dur\":1,\"args\":{\"trace\":\"");
+    out.hex(sl.trace);
+    out.lit("\",\"aux\":\"");
+    out.hex(sl.aux);
+    out.lit("\"}}");
+    // Flow events chaining cross-rank hops: each wire edge id appears
+    // exactly once as 's' (the sending stage) and once as 'f' (the
+    // delivery-side stage), binding across the merged per-rank files.
+    switch (stg) {
+      case stage::wire_eager:
+      case stage::shm_push:
+      case stage::agg_stage:
+        write_flow(out, "s", sl, sl.aux);
+        break;
+      case stage::wire_deliver:
+        write_flow(out, "f", sl, sl.aux);
+        break;
+      case stage::wire_rts:
+        write_flow(out, "s", sl, sl.aux ^ kEdgeSaltRts);
+        break;
+      case stage::wire_cts:
+        write_flow(out, "f", sl, sl.aux ^ kEdgeSaltRts);
+        write_flow(out, "s", sl, sl.aux ^ kEdgeSaltCts);
+        break;
+      case stage::wire_data:
+        write_flow(out, "f", sl, sl.aux ^ kEdgeSaltCts);
+        write_flow(out, "s", sl, sl.aux ^ kEdgeSaltData);
+        break;
+      default:
+        break;
+    }
+  });
+  out.lit("\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"otrace\":true,"
+          "\"rank\":");
+  out.sdec(rank);
+  out.num("sample_n", s.sample_n.load(std::memory_order_relaxed));
+  out.num("records_appended", s.head.load(std::memory_order_relaxed));
+  out.num("ring_capacity", s.cap);
+  out.key("clock_synced");
+  out.lit(telemetry::clock_synced() ? "true" : "false");
+  out.key("clock_offset_ns");
+  out.sdec(telemetry::clock_offset_ns());
+  if (health != nullptr) write_health(out, *health);
+  out.lit("}}\n");
+  out.flush();
   ::close(fd);
+  return true;
 }
 
-void dump_now() noexcept { dump_signal_safe(); }
+void dump(const telemetry::watchdog::report& health) noexcept {
+  (void)write_json(dump_path(dump_base(), health.rank).c_str(), health.rank,
+                   &health);
+}
+
+void dump_signal_safe(const char* reason) noexcept {
+  ot_state& s = st();
+  if (!s.dump_path_valid.load(std::memory_order_acquire)) return;
+  telemetry::watchdog::report health =
+      telemetry::watchdog::signal_report(reason);
+  const int r = s.rank.load(std::memory_order_relaxed);
+  health.rank = r < 0 ? 0 : r;
+  (void)write_json(s.dump_path_buf, health.rank, &health);
+}
 
 std::vector<record_view> snapshot_records() {
   std::vector<record_view> out;
@@ -520,86 +636,6 @@ void clear() noexcept {
 
 std::uint64_t records_appended() noexcept {
   return st().head.load(std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Perfetto export (region exit)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void write_flow(std::FILE* f, const char* ph, double ts_us, int pid, int tid,
-                std::uint64_t id) {
-  std::fprintf(f,
-               ",\n{\"name\":\"hop\",\"cat\":\"otrace\",\"ph\":\"%s\","
-               "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"id\":\"0x%llx\"%s}",
-               ph, pid, tid, ts_us,
-               static_cast<unsigned long long>(id),
-               ph[0] == 'f' ? ",\"bp\":\"e\"" : "");
-}
-
-}  // namespace
-
-bool export_json(const std::string& path, int rank) {
-  std::vector<record_view> recs = snapshot_records();
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const record_view& a, const record_view& b) {
-                     return a.t_ns < b.t_ns;
-                   });
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f,
-               "{\"traceEvents\":[\n"
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-               "\"args\":{\"name\":\"rank %d\"}}",
-               rank, rank);
-  for (const record_view& r : recs) {
-    const double ts_us = static_cast<double>(r.t_ns) / 1000.0;
-    std::fprintf(f,
-                 ",\n{\"name\":\"%s\",\"cat\":\"otrace\",\"ph\":\"X\","
-                 "\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"dur\":1,"
-                 "\"args\":{\"trace\":\"0x%llx\",\"aux\":\"0x%llx\"}}",
-                 to_string(r.st), r.rank, r.tag, ts_us,
-                 static_cast<unsigned long long>(r.trace),
-                 static_cast<unsigned long long>(r.aux));
-    // Flow events chaining cross-rank hops: each wire edge id appears
-    // exactly once as 's' (the sending stage) and once as 'f' (the
-    // delivery-side stage), binding across the merged per-rank files.
-    switch (r.st) {
-      case stage::wire_eager:
-      case stage::shm_push:
-      case stage::agg_stage:
-        write_flow(f, "s", ts_us, r.rank, r.tag, r.aux);
-        break;
-      case stage::wire_deliver:
-        write_flow(f, "f", ts_us, r.rank, r.tag, r.aux);
-        break;
-      case stage::wire_rts:
-        write_flow(f, "s", ts_us, r.rank, r.tag, r.aux ^ kEdgeSaltRts);
-        break;
-      case stage::wire_cts:
-        write_flow(f, "f", ts_us, r.rank, r.tag, r.aux ^ kEdgeSaltRts);
-        write_flow(f, "s", ts_us, r.rank, r.tag, r.aux ^ kEdgeSaltCts);
-        break;
-      case stage::wire_data:
-        write_flow(f, "f", ts_us, r.rank, r.tag, r.aux ^ kEdgeSaltCts);
-        write_flow(f, "s", ts_us, r.rank, r.tag, r.aux ^ kEdgeSaltData);
-        break;
-      default:
-        break;
-    }
-  }
-  std::fprintf(f,
-               "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{"
-               "\"otrace\":true,\"rank\":%d,\"sample_n\":%u,"
-               "\"records_appended\":%llu,\"ring_capacity\":%llu,"
-               "\"clock_offset_ns\":%lld}}\n",
-               rank, sample_n(),
-               static_cast<unsigned long long>(records_appended()),
-               static_cast<unsigned long long>(st().cap),
-               static_cast<long long>(telemetry::clock_offset_ns()));
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace aspen::otrace

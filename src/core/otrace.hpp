@@ -21,14 +21,18 @@
 // Every hop appends one fixed-size stage record to a process-global
 // lock-free ring (ASPEN_TRACE_RING_BYTES, default 1 MiB). The ring is the
 // flight recorder: it is never drained during the run, so at any instant it
-// holds the most recent stage records — a black box. It dumps to
-// "<base>.rank<R>.otrace.json" on watchdog trip, SIGSEGV/SIGABRT, or
-// SIGUSR2 (async-signal-safe writer: open/write only), and at region exit
-// the conduit::tcp endpoint exports the same records as Perfetto spans with
-// flow events chaining every cross-rank hop (merge the per-rank files with
-// bench::merge_rank_otraces). Timestamps are absolute steady-clock
-// nanoseconds corrected by the PR 5 clock sync offset, so all ranks of one
-// job land on a single monotone timeline.
+// holds the most recent stage records — a black box.
+//
+// One async-signal-safe writer (open/write only) renders the ring as
+// Perfetto JSON: an 'X' slice per record plus 's'/'f' flow events chaining
+// every cross-rank hop. At region exit the conduit::tcp endpoint writes it
+// to "<base>.rank<R>.otrace.json" (merge the per-rank files with
+// bench::merge_rank_otraces). A watchdog trip, SIGUSR2 and SIGSEGV/SIGABRT
+// write it to "<base>.rank<R>.dump.json" with the watchdog's health report
+// as otherData.health — also when sampling is off, with no records — so a
+// mid-region dump survives the region-exit export. Timestamps are absolute
+// steady-clock nanoseconds corrected by the bootstrap's clock-sync offset,
+// so all ranks of one job land on a single monotone timeline.
 //
 // With ASPEN_TELEMETRY compiled out the whole subsystem compiles to
 // nothing: ids are always 0, scopes and notes are empty inlines, and the
@@ -78,7 +82,11 @@ struct record_view {
   std::uint16_t tag = 0;    ///< recording thread tag (persona/thread)
 };
 
-/// The per-rank dump/export path: "<base>.rank<R>.otrace.json".
+/// The per-rank region-exit export path: "<base>.rank<R>.otrace.json".
+[[nodiscard]] std::string export_path(const std::string& base, int rank);
+
+/// The per-rank dump path (watchdog trip, SIGUSR2, crash):
+/// "<base>.rank<R>.dump.json".
 [[nodiscard]] std::string dump_path(const std::string& base, int rank);
 
 /// Salts XORed onto a rendezvous message's wire edge id so the RTS, CTS and
@@ -98,8 +106,9 @@ inline constexpr std::uint64_t kEdgeSaltCts = 0x165667B19E3779F9ull;
 // ---------------------------------------------------------------------------
 
 /// Explicit (re)configuration — overrides ASPEN_TRACE_SAMPLE /
-/// ASPEN_TRACE_RING_BYTES / the dump base; sample_n == 0 disables. Used by
-/// tests; the environment is parsed lazily on first use otherwise.
+/// ASPEN_TRACE_RING_BYTES / the artifact base (kept when `base` is null);
+/// sample_n == 0 disables. Used by tests; the environment is parsed lazily
+/// on first use otherwise.
 void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
                const char* base) noexcept;
 
@@ -110,8 +119,9 @@ void configure(std::uint32_t sample_n, std::uint64_t ring_bytes,
 /// Ring capacity in records (rounded down to a power of two).
 [[nodiscard]] std::uint64_t ring_capacity() noexcept;
 
-/// The configured dump/export base name (ASPEN_TELEMETRY_TRACE, else
-/// ASPEN_WATCHDOG_REPORT, else "aspen"). Stable storage once configured.
+/// The base of the export and dump paths: ASPEN_TELEMETRY_TRACE, else
+/// "aspen". Setting ASPEN_TELEMETRY_TRACE without ASPEN_TRACE_SAMPLE
+/// samples every op.
 [[nodiscard]] const char* dump_base() noexcept;
 
 /// Tag the calling thread with its rank (forwarded from
@@ -194,25 +204,26 @@ inline void note_fulfill_eager() noexcept {
 
 /// Install the SIGUSR2 dump handler plus SIGSEGV/SIGABRT black-box hooks
 /// (crash handlers chain to the previous disposition). Idempotent; no-op
-/// while disabled.
-void install_crash_handlers() noexcept;
+/// unless sampling or the watchdog is armed. SIGUSR2 writes the dump with
+/// the lock-free health fields and asks the watchdog for a full report,
+/// which a still-progressing rank writes over it at its next check.
+void install_handlers() noexcept;
 
-/// Dump the ring to dump_path(base, rank) from a safe (non-signal)
-/// context: the watchdog calls this when it writes a health report.
-void dump_now() noexcept;
+/// The one writer: the ring as Perfetto JSON at `path`, with `health` as
+/// otherData.health when non-null. Async-signal-safe (open/write only, no
+/// allocation, no locks). Returns false if the file cannot be opened.
+bool write_json(const char* path, int rank,
+                const telemetry::watchdog::report* health) noexcept;
 
-/// Async-signal-safe ring dump (open/write only); the SIGUSR2/SIGSEGV/
-/// SIGABRT handler body. Exposed for tests.
-void dump_signal_safe() noexcept;
+/// Write dump_path(dump_base(), health.rank) from a normal context (a
+/// watchdog trip or a forced report).
+void dump(const telemetry::watchdog::report& health) noexcept;
 
-/// Export the ring as a Perfetto Trace Event JSON file: one 'X' slice per
-/// stage record (pid = recording rank, tid = thread tag) plus 's'/'f' flow
-/// events binding every cross-rank hop. Returns false if the file cannot
-/// be opened. Called by the endpoint at region exit.
-bool export_json(const std::string& path, int rank);
+/// The signal handlers' body: the dump for this process's rank with the
+/// lock-free health fields. Exposed for tests.
+void dump_signal_safe(const char* reason) noexcept;
 
-/// Decode every committed ring slot, oldest first (tests and the
-/// exporters).
+/// Decode every committed ring slot, oldest first (tests).
 [[nodiscard]] std::vector<record_view> snapshot_records();
 
 /// Discard all recorded stages (tests; between spmd regions).
@@ -256,10 +267,13 @@ static_assert(sizeof(op_scope) == 1,
 inline void note(stage, std::uint64_t = 0) noexcept {}
 inline void note_id(std::uint64_t, stage, std::uint64_t = 0) noexcept {}
 inline void note_fulfill_eager() noexcept {}
-inline void install_crash_handlers() noexcept {}
-inline void dump_now() noexcept {}
-inline void dump_signal_safe() noexcept {}
-inline bool export_json(const std::string&, int) { return false; }
+inline void install_handlers() noexcept {}
+inline bool write_json(const char*, int,
+                       const telemetry::watchdog::report*) noexcept {
+  return false;
+}
+inline void dump(const telemetry::watchdog::report&) noexcept {}
+inline void dump_signal_safe(const char*) noexcept {}
 [[nodiscard]] inline std::vector<record_view> snapshot_records() {
   return {};
 }

@@ -2,6 +2,7 @@
 
 #include "core/future_cell.hpp"
 #include "core/log.hpp"
+#include "core/otrace.hpp"
 #include "core/telemetry.hpp"
 #include "net/endpoint.hpp"
 #include "net/wire.hpp"
@@ -229,6 +230,9 @@ void spmd(int nranks, gex::config gcfg, version_config ver,
   if (nranks < 1) throw std::invalid_argument("spmd: nranks must be >= 1");
   if (detail::have_ctx())
     throw std::logic_error("spmd: nested SPMD runs are not supported");
+  // SIGUSR2 and the crash dumps (no-op unless sampling or the watchdog is
+  // armed; idempotent).
+  otrace::install_handlers();
 
   if (gcfg.transport == gex::conduit::tcp ||
       gcfg.transport == gex::conduit::shm) {

@@ -1,15 +1,13 @@
 #include "core/telemetry_lat.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 
 #include "core/log.hpp"
 #include "core/otrace.hpp"
 #include "core/telemetry.hpp"
 
 #if ASPEN_TELEMETRY_ENABLED
-#include <signal.h>  // sigaction (POSIX; <csignal> need not declare it)
-
+#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -90,10 +88,6 @@ const char* to_string(op_class c) noexcept {
 
 namespace watchdog {
 
-std::string report_path(const std::string& base, int rank) {
-  return base + ".rank" + std::to_string(rank) + ".health.json";
-}
-
 #if ASPEN_TELEMETRY_ENABLED
 
 namespace {
@@ -104,22 +98,24 @@ struct pending_op {
   std::uint64_t start_ns; ///< detail::trace_now_ns() at track time
 };
 
+/// threshold_ns before ASPEN_WATCHDOG_MS (or configure()) resolved it.
+constexpr std::uint64_t kUnresolved = ~std::uint64_t{0};
+
 struct wd_state {
   std::mutex mu;
-  // Configuration (guarded by mu; read through the relaxed mirror below
-  // on the hot path).
-  bool configured = false;
-  std::uint64_t threshold_ns = 0;
-  std::string report_base = "aspen";
+  /// 0 = disarmed. Atomic so the hot path and the signal handler read it
+  /// without locking.
+  std::atomic<std::uint64_t> threshold_ns{kUnresolved};
   // Pending-op registry (guarded by mu). Ordered map: ids are issued
   // monotonically, so begin() per rank scan finds the oldest fast enough
-  // for a throttled check.
+  // for a throttled check. pending_n mirrors its size for signal_report.
   std::uint64_t next_id = 1;
   std::map<std::uint64_t, pending_op> pending;
+  std::atomic<std::uint64_t> pending_n{0};
+  /// Latest progress() timestamp of any rank (only kept while armed).
+  std::atomic<std::uint64_t> last_progress_ns{0};
   transport_probe probe;  ///< guarded by mu
   std::atomic<int> reports{0};
-  std::atomic<bool> enabled_mirror{false};
-  std::atomic<bool> signal_installed{false};
   /// 0 healthy, 1 stall episode active, 2 recovered (health_state()).
   std::atomic<int> health{0};
 };
@@ -131,8 +127,8 @@ wd_state& st() noexcept {
   return *s;
 }
 
-/// SIGUSR1 -> dump at the next check. sig_atomic_t, written only from the
-/// handler and consumed with a plain read+clear in maybe_check.
+/// SIGUSR2 -> full report at the next check. sig_atomic_t, written from
+/// the handler and consumed with a plain read+clear in maybe_check.
 volatile sig_atomic_t g_report_requested = 0;
 
 struct wd_tls {
@@ -147,137 +143,102 @@ wd_tls& tls() noexcept {
   return t;
 }
 
-void ensure_configured_locked(wd_state& s) {
-  if (s.configured) return;
-  s.configured = true;
+std::uint64_t env_threshold_ns() noexcept {
   const char* v = std::getenv("ASPEN_WATCHDOG_MS");
-  if (v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long ms = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') {
-      s.threshold_ns = static_cast<std::uint64_t>(ms) * 1'000'000u;
-    } else {
-      aspen::log(log_level::warn,
-                 "watchdog: ignoring unparsable ASPEN_WATCHDOG_MS=\"%s\"", v);
-    }
-  }
-  const char* base = std::getenv("ASPEN_WATCHDOG_REPORT");
-  if (base != nullptr && *base != '\0') s.report_base = base;
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+  if (v == nullptr || *v == '\0') return 0;
+  char* end = nullptr;
+  const unsigned long long ms = std::strtoull(v, &end, 10);
+  if (end != v && *end == '\0') return ms * 1'000'000u;
+  aspen::log(log_level::warn,
+             "watchdog: ignoring unparsable ASPEN_WATCHDOG_MS=\"%s\"", v);
+  return 0;
 }
 
-std::uint64_t threshold_ns_locked(wd_state& s) {
-  ensure_configured_locked(s);
-  return s.threshold_ns;
+/// The threshold in ns (0 = disarmed), parsing ASPEN_WATCHDOG_MS on first
+/// use unless configure() came first.
+std::uint64_t threshold_ns() noexcept {
+  std::atomic<std::uint64_t>& th = st().threshold_ns;
+  std::uint64_t v = th.load(std::memory_order_relaxed);
+  if (v == kUnresolved) {
+    (void)th.compare_exchange_strong(v, env_threshold_ns(),
+                                     std::memory_order_relaxed);
+    v = th.load(std::memory_order_relaxed);
+  }
+  return v;
 }
 
-extern "C" void wd_sigusr1_handler(int) { g_report_requested = 1; }
-
-/// Dump one health report for `rank`. Called with `mu` NOT held (the
-/// transport probe takes the endpoint's peer locks).
-void write_report(int rank, const char* reason, std::uint64_t now_ns,
-                  std::uint64_t threshold_ns, std::size_t pending_count,
-                  std::uint64_t oldest_age_ns, const char* oldest_cls,
-                  std::uint64_t gap_ns, const transport_status& ts) {
-  wd_state& s = st();
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    path = report_path(s.report_base, rank);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\n  \"rank\": %d,\n  \"reason\": \"%s\",\n"
-               "  \"threshold_ms\": %" PRIu64 ",\n"
-               "  \"detected_at_ns\": %" PRIu64 ",\n"
-               "  \"pending_ops\": %zu,\n"
-               "  \"oldest_op_age_ms\": %" PRIu64 ",\n"
-               "  \"oldest_op_class\": \"%s\",\n"
-               "  \"progress_gap_ms\": %" PRIu64,
-               rank, reason, threshold_ns / 1'000'000u, now_ns,
-               pending_count, oldest_age_ns / 1'000'000u,
-               oldest_cls == nullptr ? "none" : oldest_cls,
-               gap_ns / 1'000'000u);
-  if (ts.valid) {
-    std::fprintf(f,
-                 ",\n  \"transport\": {\n"
-                 "    \"sendq_bytes\": %" PRIu64 ",\n"
-                 "    \"staged_msgs\": %" PRIu64 ",\n"
-                 "    \"oldest_sendq_age_ms\": %" PRIu64 ",\n"
-                 "    \"shm_ring_depth_bytes\": %" PRIu64 ",\n"
-                 "    \"shm_ring_high_water\": %" PRIu64 "%s%s\n  }",
-                 ts.sendq_bytes, ts.staged_msgs,
-                 ts.oldest_sendq_age_ns / 1'000'000u,
-                 ts.shm_ring_depth_bytes, ts.shm_ring_high_water,
-                 ts.detail_json.empty() ? "" : ",\n    ",
-                 ts.detail_json.c_str());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  s.reports.fetch_add(1, std::memory_order_relaxed);
+/// Write one report into the flight-recorder dump. Called with `mu` NOT
+/// held (the transport probe takes the endpoint's peer locks).
+void write_report(const report& r) {
+  otrace::dump(r);
+  st().reports.fetch_add(1, std::memory_order_relaxed);
   aspen::log(log_level::error,
              "watchdog: rank %d %s (oldest op %" PRIu64 " ms, gap %" PRIu64
-             " ms, %zu pending) -> %s",
-             rank, reason, oldest_age_ns / 1'000'000u, gap_ns / 1'000'000u,
-             pending_count, path.c_str());
-  // A tripped watchdog is exactly the moment the flight recorder exists
-  // for: dump the otrace ring next to the health report.
-  otrace::dump_now();
+             " ms, %" PRIu64 " pending) -> %s",
+             r.rank, r.reason, r.oldest_op_age_ms, r.progress_gap_ms,
+             r.pending_ops,
+             otrace::dump_path(otrace::dump_base(), r.rank).c_str());
 }
 
 void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
   wd_state& s = st();
   wd_tls& t = tls();
+  const bool forced = g_report_requested != 0;
   // Time-throttle: at most one full scan per threshold/4 (>= 1ms).
-  if (now_ns < t.next_check_ns && g_report_requested == 0) return;
+  if (now_ns < t.next_check_ns && !forced) return;
+  const std::uint64_t threshold = threshold_ns();
+  if (threshold == 0 && !forced) return;
 
-  std::uint64_t threshold = 0;
-  std::size_t pending_count = 0;
+  report r;
+  r.rank = t.rank;
+  r.threshold_ms = threshold / 1'000'000u;
+  r.full = true;
+  r.detected_at_ns = now_ns;
   std::uint64_t oldest_age = 0;
-  const char* oldest_cls = nullptr;
   transport_probe probe;
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    threshold = threshold_ns_locked(s);
-    if (threshold == 0) return;
     for (const auto& [id, op] : s.pending) {
       if (op.rank != t.rank) continue;
-      ++pending_count;
+      ++r.pending_ops;
       const std::uint64_t age =
           now_ns > op.start_ns ? now_ns - op.start_ns : 0;
       if (age > oldest_age) {
         oldest_age = age;
-        oldest_cls = to_string(op.cls);
+        r.oldest_op_class = to_string(op.cls);
       }
     }
     probe = s.probe;
   }
+  r.oldest_op_age_ms = oldest_age / 1'000'000u;
   std::uint64_t step = threshold / 4;
   if (step < 1'000'000u) step = 1'000'000u;
   t.next_check_ns = now_ns + step;
 
-  install_signal_handler();
+  otrace::install_handlers();
 
   const std::uint64_t gap =
       prev_progress_ns != 0 && now_ns > prev_progress_ns
           ? now_ns - prev_progress_ns
           : 0;
-  const bool forced = g_report_requested != 0;
+  r.progress_gap_ms = gap / 1'000'000u;
   if (forced) g_report_requested = 0;
 
   transport_status ts;
   const char* reason = nullptr;
-  if (oldest_age > threshold) {
+  if (threshold == 0) {
+    // Disarmed: only a forced report gets here.
+  } else if (oldest_age > threshold) {
     reason = "oldest_op";
-  } else if (pending_count > 0 && gap > threshold) {
+  } else if (r.pending_ops > 0 && gap > threshold) {
     // A long progress gap is only a stall when work was actually waiting;
     // an idle rank between regions is not starved.
     reason = "progress_gap";
   }
   if (probe) {
     ts = probe();
-    if (reason == nullptr && ts.valid &&
+    r.transport = &ts;
+    if (reason == nullptr && threshold != 0 && ts.valid &&
         ts.oldest_sendq_age_ns > threshold) {
       reason = "sendq_stall";
     }
@@ -289,43 +250,29 @@ void maybe_check(std::uint64_t now_ns, std::uint64_t prev_progress_ns) {
     return;
   }
   if (forced) {
-    write_report(t.rank, "sigusr1", now_ns, threshold, pending_count,
-                 oldest_age, oldest_cls, gap, ts);
+    r.reason = "signal";
+    r.state = s.health.load(std::memory_order_relaxed);
+    write_report(r);
     return;
   }
   if (t.in_stall) return;  // already reported this episode
   t.in_stall = true;
   s.health.store(1, std::memory_order_relaxed);
-  write_report(t.rank, reason, now_ns, threshold, pending_count, oldest_age,
-               oldest_cls, gap, ts);
+  r.reason = reason;
+  r.state = 1;
+  write_report(r);
 }
 
 }  // namespace
 
-void configure(std::uint64_t threshold_ms, const char* report_base) noexcept {
-  wd_state& s = st();
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.configured = true;
-  s.threshold_ns = threshold_ms * 1'000'000u;
-  s.report_base = report_base == nullptr ? "aspen" : report_base;
-  s.enabled_mirror.store(s.threshold_ns != 0, std::memory_order_relaxed);
+void configure(std::uint64_t threshold_ms) noexcept {
+  st().threshold_ns.store(threshold_ms * 1'000'000u,
+                          std::memory_order_relaxed);
 }
 
-bool enabled() noexcept {
-  wd_state& s = st();
-  if (!s.enabled_mirror.load(std::memory_order_relaxed)) {
-    // Cheap until first configured; parse the environment exactly once.
-    std::lock_guard<std::mutex> lk(s.mu);
-    ensure_configured_locked(s);
-  }
-  return s.enabled_mirror.load(std::memory_order_relaxed);
-}
+bool enabled() noexcept { return threshold_ns() != 0; }
 
-std::uint64_t threshold_ms() noexcept {
-  wd_state& s = st();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return threshold_ns_locked(s) / 1'000'000u;
-}
+std::uint64_t threshold_ms() noexcept { return threshold_ns() / 1'000'000u; }
 
 void set_thread_rank(int rank) noexcept {
   tls().rank = rank < 0 ? 0 : rank;
@@ -338,6 +285,7 @@ std::uint64_t track_op(op_class cls) noexcept {
   std::lock_guard<std::mutex> lk(s.mu);
   const std::uint64_t id = s.next_id++;
   s.pending.emplace(id, pending_op{cls, tls().rank, now});
+  s.pending_n.store(s.pending.size(), std::memory_order_relaxed);
   return id;
 }
 
@@ -346,40 +294,42 @@ void complete_op(std::uint64_t id) noexcept {
   wd_state& s = st();
   std::lock_guard<std::mutex> lk(s.mu);
   s.pending.erase(id);
+  s.pending_n.store(s.pending.size(), std::memory_order_relaxed);
 }
 
 void note_progress(std::uint64_t now_ns) noexcept {
   wd_tls& t = tls();
   const std::uint64_t prev = t.last_progress_ns;
   t.last_progress_ns = now_ns;
-  if (!st().enabled_mirror.load(std::memory_order_relaxed) &&
-      g_report_requested == 0) {
-    // enabled() below would parse the env lazily; do it only until the
-    // first real check resolves the configuration.
-    if (!enabled()) return;
-  }
-  maybe_check(now_ns, prev);
+  const bool armed = enabled();
+  if (armed) st().last_progress_ns.store(now_ns, std::memory_order_relaxed);
+  if (armed || g_report_requested != 0) maybe_check(now_ns, prev);
 }
 
 void poll_check() noexcept {
-  if (!st().enabled_mirror.load(std::memory_order_relaxed)) return;
+  if (!enabled() && g_report_requested == 0) return;
   const std::uint64_t now = detail::trace_now_ns();
   maybe_check(now, tls().last_progress_ns);
 }
 
 void request_report() noexcept { g_report_requested = 1; }
 
-void install_signal_handler() noexcept {
+report signal_report(const char* reason) noexcept {
   wd_state& s = st();
-  bool expected = false;
-  if (!s.signal_installed.compare_exchange_strong(
-          expected, true, std::memory_order_relaxed))
-    return;
-  struct sigaction sa{};
-  sa.sa_handler = &wd_sigusr1_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;
-  sigaction(SIGUSR1, &sa, nullptr);
+  report r;
+  r.reason = reason;
+  const std::uint64_t th = s.threshold_ns.load(std::memory_order_relaxed);
+  r.threshold_ms = th == kUnresolved ? 0 : th / 1'000'000u;
+  r.pending_ops = s.pending_n.load(std::memory_order_relaxed);
+  // last != 0 means note_progress already ran the clock (its epoch static
+  // is initialized), so reading it here takes no first-use guard.
+  const std::uint64_t last = s.last_progress_ns.load(std::memory_order_relaxed);
+  if (last != 0) {
+    const std::uint64_t now = detail::trace_now_ns();
+    if (now > last) r.progress_gap_ms = (now - last) / 1'000'000u;
+  }
+  r.state = s.health.load(std::memory_order_relaxed);
+  return r;
 }
 
 void set_transport_probe(transport_probe probe) {

@@ -23,14 +23,15 @@
 //
 // The watchdog (ASPEN_WATCHDOG_MS) piggybacks on progress: each check scans
 // this rank's oldest pending remote op, its own progress gap, and the
-// transport's sendq-drain age, and dumps a per-rank health report
-// ("<base>.rank<R>.health.json") when any exceeds the threshold — or on
-// SIGUSR1. With ASPEN_TELEMETRY compiled out both the histograms and the
-// watchdog compile to nothing (the types below remain so snapshots keep a
-// stable layout).
+// transport's sendq-drain age, and when any exceeds the threshold writes
+// the per-rank flight-recorder dump ("<base>.rank<R>.dump.json", see
+// otrace.hpp) with its health report as otherData.health. SIGUSR2 forces
+// the same dump. With ASPEN_TELEMETRY compiled out both the histograms and
+// the watchdog compile to nothing (the types below remain so snapshots keep
+// a stable layout).
 //
-// Deliberately dependency-free below <functional>/<string> so
-// telemetry.hpp can include it ahead of the record definition.
+// Deliberately dependency-free below <functional> so telemetry.hpp can
+// include it ahead of the record definition.
 #pragma once
 
 #include <array>
@@ -38,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #if !defined(ASPEN_TELEMETRY_ENABLED)
 #if defined(ASPEN_TELEMETRY) && ASPEN_TELEMETRY
@@ -217,18 +217,37 @@ struct transport_status {
   /// points at a consumer that stopped pumping.
   std::uint64_t shm_ring_depth_bytes = 0;
   std::uint64_t shm_ring_high_water = 0;
-  /// Pre-rendered JSON fields for the health report (quiescence matrices).
-  std::string detail_json;
+  /// Quiescence totals: counted frames sent to / delivered from all peers.
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_delivered = 0;
 };
 
 using transport_probe = std::function<transport_status()>;
 
+/// A dump's otherData.health object. The fields up to `state` are readable
+/// lock-free, so a signal-time dump carries just those; `full` marks a
+/// report written from a progressing rank, which adds the oldest pending
+/// op and the transport.
+struct report {
+  const char* reason = "signal";
+  int rank = 0;
+  std::uint64_t threshold_ms = 0;
+  std::uint64_t pending_ops = 0;
+  std::uint64_t progress_gap_ms = 0;
+  int state = 0;  ///< health_state() at the time of the report
+  bool full = false;
+  std::uint64_t detected_at_ns = 0;
+  std::uint64_t oldest_op_age_ms = 0;
+  const char* oldest_op_class = "none";
+  const transport_status* transport = nullptr;  ///< null: no transport
+};
+
 #if ASPEN_TELEMETRY_ENABLED
 
-/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS /
-/// ASPEN_WATCHDOG_REPORT; threshold_ms == 0 disables. Used by tests; the
-/// environment is parsed lazily on first use otherwise.
-void configure(std::uint64_t threshold_ms, const char* report_base) noexcept;
+/// Explicit (re)configuration — overrides ASPEN_WATCHDOG_MS;
+/// threshold_ms == 0 disables. Used by tests; the environment is parsed
+/// lazily on first use otherwise. Reports go to otrace's dump path.
+void configure(std::uint64_t threshold_ms) noexcept;
 
 [[nodiscard]] bool enabled() noexcept;
 [[nodiscard]] std::uint64_t threshold_ms() noexcept;
@@ -250,13 +269,15 @@ void note_progress(std::uint64_t now_ns) noexcept;
 /// As note_progress but reads the clock itself; hook for transport pumps.
 void poll_check() noexcept;
 
-/// Ask for an unconditional health report at the next check (the SIGUSR1
-/// handler body; also callable directly from tests).
+/// Ask for an unconditional full report at the next progress check, armed
+/// or not (the SIGUSR2 handler sets this; also callable from tests).
+/// Async-signal-safe.
 void request_report() noexcept;
 
-/// Install the SIGUSR1 handler (idempotent; done automatically the first
-/// time an enabled watchdog checks).
-void install_signal_handler() noexcept;
+/// The lock-free report fields as of now (pending ops process-wide, the
+/// gap since any rank's last progress). Async-signal-safe; the SIGUSR2 and
+/// crash dumps embed it.
+[[nodiscard]] report signal_report(const char* reason) noexcept;
 
 void set_transport_probe(transport_probe probe);
 
@@ -270,7 +291,7 @@ void set_transport_probe(transport_probe probe);
 
 #else  // !ASPEN_TELEMETRY_ENABLED — the watchdog compiles out entirely.
 
-inline void configure(std::uint64_t, const char*) noexcept {}
+inline void configure(std::uint64_t) noexcept {}
 [[nodiscard]] inline bool enabled() noexcept { return false; }
 [[nodiscard]] inline std::uint64_t threshold_ms() noexcept { return 0; }
 inline void set_thread_rank(int) noexcept {}
@@ -279,15 +300,12 @@ inline void complete_op(std::uint64_t) noexcept {}
 inline void note_progress(std::uint64_t) noexcept {}
 inline void poll_check() noexcept {}
 inline void request_report() noexcept {}
-inline void install_signal_handler() noexcept {}
+[[nodiscard]] inline report signal_report(const char*) noexcept { return {}; }
 inline void set_transport_probe(transport_probe) {}
 [[nodiscard]] inline int reports_written() noexcept { return 0; }
 [[nodiscard]] inline int health_state() noexcept { return 0; }
 
 #endif
-
-/// The per-rank health report path: "<base>.rank<R>.health.json".
-[[nodiscard]] std::string report_path(const std::string& base, int rank);
 
 }  // namespace watchdog
 

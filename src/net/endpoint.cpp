@@ -116,9 +116,6 @@ endpoint& endpoint::ensure(const gex::net_config& cfg,
 }
 
 void endpoint::refresh_region_tunables(const gex::net_config& cfg) noexcept {
-  // Idempotent, and a no-op unless sampling is on: a region that enabled
-  // otrace after the mesh was built still gets its dump handlers.
-  otrace::install_crash_handlers();
   cfg_.agg = cfg.agg;
   cfg_.sendq_max = cfg.sendq_max;
   agg_on_ = cfg.agg.enabled;
@@ -165,49 +162,37 @@ endpoint::endpoint(int rank, int nranks, gex::net_config cfg,
       aspen::log(log_level::info, "net: data plane = %s (%s)", io_->name(),
                  io_reason_.c_str());
   }
-  if (telemetry::live::trace_base() != nullptr)
-    telemetry::enable_tracing(true);
-  otrace::install_crash_handlers();
-  if (telemetry::watchdog::enabled()) {
-    telemetry::watchdog::install_signal_handler();
-    telemetry::watchdog::set_transport_probe([this] {
-      telemetry::watchdog::transport_status st;
-      st.valid = true;
-      const std::uint64_t now = mono_ns();
-      std::uint64_t frames_sent = 0;
-      std::uint64_t frames_delivered = 0;
-      for (int r = 0; r < nranks_; ++r) {
-        frames_sent +=
-            sent_to_[static_cast<std::size_t>(r)].load(
-                std::memory_order_relaxed);
-        frames_delivered +=
-            delivered_from_[static_cast<std::size_t>(r)].load(
-                std::memory_order_relaxed);
-        if (r == rank_) continue;
-        const peer& p = *peers_[static_cast<std::size_t>(r)];
-        std::lock_guard<std::mutex> lk(p.mu);
-        st.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size() +
-                          io_->send_backlog(r);
-        st.staged_msgs += p.staged.size();
-        if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns) {
-          const std::uint64_t age = now - p.out_busy_since_ns;
-          if (age > st.oldest_sendq_age_ns) st.oldest_sendq_age_ns = age;
-        }
-        if (p.shm_active) {
-          st.shm_ring_depth_bytes += p.shm_out_msg.depth_bytes() +
-                                     p.shm_out_bulk.depth_bytes() +
-                                     p.shm_in_msg.depth_bytes() +
-                                     p.shm_in_bulk.depth_bytes();
-        }
+  // Set whether or not the watchdog is armed: a SIGUSR2-forced report
+  // carries the transport too.
+  telemetry::watchdog::set_transport_probe([this] {
+    telemetry::watchdog::transport_status st;
+    st.valid = true;
+    const std::uint64_t now = mono_ns();
+    for (int r = 0; r < nranks_; ++r) {
+      st.frames_sent += sent_to_[static_cast<std::size_t>(r)].load(
+          std::memory_order_relaxed);
+      st.frames_delivered += delivered_from_[static_cast<std::size_t>(r)].load(
+          std::memory_order_relaxed);
+      if (r == rank_) continue;
+      const peer& p = *peers_[static_cast<std::size_t>(r)];
+      std::lock_guard<std::mutex> lk(p.mu);
+      st.sendq_bytes += p.out.size() - p.out_off + p.shm_agg.size() +
+                        io_->send_backlog(r);
+      st.staged_msgs += p.staged.size();
+      if (p.out_busy_since_ns != 0 && now > p.out_busy_since_ns) {
+        const std::uint64_t age = now - p.out_busy_since_ns;
+        if (age > st.oldest_sendq_age_ns) st.oldest_sendq_age_ns = age;
       }
-      st.shm_ring_high_water = shm_ring_high_water();
-      st.detail_json = "\"quiescence\": {\"frames_sent\": " +
-                       std::to_string(frames_sent) +
-                       ", \"frames_delivered\": " +
-                       std::to_string(frames_delivered) + "}";
-      return st;
-    });
-  }
+      if (p.shm_active) {
+        st.shm_ring_depth_bytes += p.shm_out_msg.depth_bytes() +
+                                   p.shm_out_bulk.depth_bytes() +
+                                   p.shm_in_msg.depth_bytes() +
+                                   p.shm_in_bulk.depth_bytes();
+      }
+    }
+    st.shm_ring_high_water = shm_ring_high_water();
+    return st;
+  });
 }
 
 endpoint::~endpoint() {
@@ -666,7 +651,6 @@ void endpoint::enqueue_frame(peer& p, int target, const frame_header& hdr,
 }
 
 void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
-  telemetry::span sp("wire_send", "net");
   peer& p = peer_of(target);
   if (!p.sock.valid() || p.departed) {
     aspen::fatal(
@@ -698,7 +682,6 @@ void endpoint::send_am(gex::runtime& rt, int target, gex::am_message msg) {
   // wire_deliver on the receiver records the same id (see process_frame).
   const std::uint64_t trace = msg.trace();
   const std::uint64_t fid = flow_id(rank_, target, seq);
-  telemetry::trace_flow("wire_msg", "net", /*begin=*/true, fid);
 
   // Shared-memory fast path: same-host peer with a wired ring pair and an
   // shm region active. The seq is assigned under p.mu regardless of which
@@ -1225,9 +1208,6 @@ std::size_t endpoint::release_staged(gex::runtime& rt, int rank) {
   std::size_t released = 0;
   auto it = p.staged.begin();
   while (it != p.staged.end() && it->first == p.next_deliver_seq) {
-    telemetry::span sp("wire_deliver", "net");
-    telemetry::trace_flow("wire_msg", "net", /*begin=*/false,
-                          flow_id(rank, rank_, it->first));
     otrace::note_id(it->second.msg.trace(), otrace::stage::wire_deliver,
                     it->second.edge);
     if (telemetry::compiled_in() && it->second.send_ns != 0) {
@@ -1450,16 +1430,13 @@ void endpoint::end_region(const progress_fn& progress) {
   // Quiescent: no counted frame is in flight anywhere, so the telemetry
   // final flush below is the only remaining wire traffic of this region.
   finish_region_telemetry(progress);
-  if (const char* tb = telemetry::live::trace_base()) {
-    (void)telemetry::write_trace_file(std::string(tb) + ".rank" +
-                                      std::to_string(rank_) + ".trace.json");
-  }
   // Region-exit otrace export: every rank writes its flight-recorder ring
   // as a Perfetto fragment; bench::merge_rank_otraces (or `cat` plus a
   // JSON array wrapper) joins them into one cross-rank timeline.
   if (otrace::enabled()) {
-    (void)otrace::export_json(otrace::dump_path(otrace::dump_base(), rank_),
-                              rank_);
+    (void)otrace::write_json(
+        otrace::export_path(otrace::dump_base(), rank_).c_str(), rank_,
+        nullptr);
     otrace::clear();
   }
 }

@@ -14,7 +14,6 @@
 #include <fstream>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -524,79 +523,6 @@ TEST(NetSpmd, LiveAggregationLatencyDispositions) {
   aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // rank 0 done
 }
 
-// Clock-aligned multi-rank tracing: each rank records wire spans and flow
-// events for one traffic region, writes its per-rank trace, and rank 0
-// stitches them. At least one message must appear as a bound flow — its
-// "s" (send) and "f" (staged delivery) share a binding id across two
-// different ranks' event streams.
-TEST(NetSpmd, MergedTraceCarriesFlowEvents) {
-  ASPEN_REQUIRE_LAUNCHED();
-  const int n = job_size();
-  if (!aspen::telemetry::compiled_in())
-    GTEST_SKIP() << "telemetry compiled out";
-
-  const std::string base = "/tmp/aspen_trace." + std::to_string(::getppid());
-  aspen::telemetry::clear_trace();
-  aspen::telemetry::enable_tracing(true);
-  aspen::spmd(n, tcp_cfg(), [n] {
-    const int target = (aspen::rank_me() + 1) % n;
-    for (int i = 0; i < 4; ++i)
-      (void)aspen::rpc(target, [](int x) { return x + 1; }, i).wait();
-    aspen::barrier();
-  });
-  aspen::telemetry::enable_tracing(false);
-
-  const int rank = aspen::net::endpoint::instance()->self_rank();
-  ASSERT_TRUE(aspen::telemetry::write_trace_file(
-      aspen::bench::rank_trace_path(base, rank)));
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // traces on disk
-
-  if (rank == 0) {
-    // Rank clocks were probed at bootstrap: every per-rank trace carries
-    // its offset so the merged timeline is aligned to rank 0.
-    std::ifstream own(aspen::bench::rank_trace_path(base, rank));
-    std::ostringstream oss;
-    oss << own.rdbuf();
-    EXPECT_NE(oss.str().find("\"clock_synced\":true"), std::string::npos);
-    EXPECT_NE(oss.str().find("\"clock_offset_ns\":"), std::string::npos);
-
-    const std::string out = base + ".merged.trace.json";
-    EXPECT_EQ(aspen::bench::merge_rank_traces(base, n, out), n);
-    std::ifstream f(out);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    const std::string s = ss.str();
-    EXPECT_NE(s.find("\"wire_send\""), std::string::npos);
-    EXPECT_NE(s.find("\"wire_deliver\""), std::string::npos);
-    // Collect flow binding ids by phase and require a bound pair.
-    auto ids_of = [&s](const char* ph) {
-      std::set<std::string> ids;
-      const std::string needle = std::string("\"ph\":\"") + ph + "\"";
-      for (std::size_t pos = s.find(needle); pos != std::string::npos;
-           pos = s.find(needle, pos + 1)) {
-        const std::size_t id_key = s.find("\"id\":\"", pos);
-        if (id_key == std::string::npos) break;
-        const std::size_t open = id_key + 6;
-        const std::size_t close = s.find('"', open);
-        if (close == std::string::npos) break;
-        ids.insert(s.substr(open, close - open));
-      }
-      return ids;
-    };
-    const std::set<std::string> starts = ids_of("s");
-    const std::set<std::string> finishes = ids_of("f");
-    EXPECT_FALSE(starts.empty());
-    bool bound = false;
-    for (const std::string& id : starts)
-      if (finishes.count(id) != 0) bound = true;
-    EXPECT_TRUE(bound) << "no flow id appears as both send and delivery";
-    (void)std::remove(out.c_str());
-  }
-
-  aspen::spmd(n, tcp_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(aspen::bench::rank_trace_path(base, rank).c_str());
-}
-
 // ---------------------------------------------------------------------------
 // OtraceSpmd — sampled per-operation distributed tracing across real
 // processes (docs/OTRACE.md). Run via ctest net_spmd_otrace_* (tcp / shm /
@@ -629,6 +555,13 @@ struct otrace_region {
     otrace::configure(/*sample_n=*/0, /*ring_bytes=*/1 << 20, nullptr);
   }
 };
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
 
 /// First record of `st` belonging to trace `id` (t_ns order = ring order
 /// per thread); returns SIZE_MAX when absent.
@@ -818,15 +751,17 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
   }
 
   const int rank = aspen::net::endpoint::instance()->self_rank();
+  // Rank clocks were probed at bootstrap: every per-rank export carries
+  // its offset, so the merged timeline is aligned to rank 0.
+  const std::string own = slurp(otrace::export_path(base, rank));
+  EXPECT_NE(own.find("\"clock_synced\":true"), std::string::npos);
+  EXPECT_NE(own.find("\"clock_offset_ns\":"), std::string::npos);
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // exports on disk
 
   if (rank == 0) {
     const std::string out = base + ".merged.otrace.json";
     EXPECT_EQ(aspen::bench::merge_rank_otraces(base, n, out), n);
-    std::ifstream f(out);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    const std::string s = ss.str();
+    const std::string s = slurp(out);
     EXPECT_NE(s.find("\"inject\""), std::string::npos);
     EXPECT_NE(s.find("\"wire_deliver\""), std::string::npos);
     EXPECT_NE(s.find("\"handler_run\""), std::string::npos);
@@ -863,9 +798,15 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
     (void)std::remove(out.c_str());
   }
   aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // rank 0 done
-  (void)std::remove(aspen::bench::rank_otrace_path(base, rank).c_str());
+  (void)std::remove(otrace::export_path(base, rank).c_str());
 }
 
+// The operator's probe: SIGUSR2 mid-run writes the dump (ring plus the
+// lock-free health fields) from the handler, and the rank's next progress
+// call rewrites it with the full health header. With ASPEN_TELEMETRY_TRACE
+// set the dumps land under that base and are left for the caller to
+// inspect (the CI leg parses them); otherwise they go to /tmp and are
+// removed.
 TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
   ASPEN_REQUIRE_LAUNCHED();
   const int n = job_size();
@@ -873,33 +814,41 @@ TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
     aspen::spmd(n, otrace_cfg(), [] { aspen::barrier(); });  // see above
     GTEST_SKIP() << "telemetry compiled out";
   }
+  const char* env_base = std::getenv("ASPEN_TELEMETRY_TRACE");
+  const bool keep = env_base != nullptr && *env_base != '\0';
   const std::string base =
-      "/tmp/aspen_otrace_usr2." + std::to_string(::getppid());
-  {
-    otrace_region arm(base.c_str());
-    aspen::spmd(n, otrace_cfg(), [n] {
-      otrace::reset_sampling();
-      otrace::clear();
-      aspen::barrier();  // everyone cleared before anyone injects
-      otrace::install_crash_handlers();
-      const int target = (aspen::rank_me() + 1) % n;
-      (void)aspen::rpc(target, [](int x) { return x + 1; }, 1).wait();
-      aspen::barrier();
-      // The operator's probe: signal the process mid-run; the handler
-      // dumps the ring and execution continues unharmed.
-      ::raise(SIGUSR2);
-      const std::string path =
-          otrace::dump_path(otrace::dump_base(), aspen::rank_me());
-      std::ifstream f(path);
-      std::ostringstream ss;
-      ss << f.rdbuf();
-      EXPECT_NE(ss.str().find("\"records\""), std::string::npos)
-          << path << " missing or empty after SIGUSR2";
-      EXPECT_NE(ss.str().find("\"inject\""), std::string::npos);
-      (void)std::remove(path.c_str());
-      aspen::barrier();
-    });
-  }
+      keep ? env_base
+           : "/tmp/aspen_otrace_usr2." + std::to_string(::getppid());
+  otrace_region arm(base.c_str());
+  aspen::spmd(n, otrace_cfg(), [n, keep] {
+    otrace::reset_sampling();
+    otrace::clear();
+    aspen::barrier();  // everyone cleared before anyone injects
+    const int target = (aspen::rank_me() + 1) % n;
+    (void)aspen::rpc(target, [](int x) { return x + 1; }, 1).wait();
+    aspen::barrier();
+    ::raise(SIGUSR2);
+    const std::string path =
+        otrace::dump_path(otrace::dump_base(), aspen::rank_me());
+    const std::string sig = slurp(path);
+    EXPECT_NE(sig.find("\"traceEvents\""), std::string::npos)
+        << path << " missing or empty after SIGUSR2";
+    EXPECT_NE(sig.find("\"name\":\"inject\""), std::string::npos);
+    EXPECT_NE(sig.find("\"reason\":\"signal\""), std::string::npos) << sig;
+    EXPECT_NE(sig.find("\"full\":false"), std::string::npos) << sig;
+    (void)aspen::progress();  // answers the report request
+    const std::string full = slurp(path);
+    EXPECT_NE(full.find("\"reason\":\"signal\""), std::string::npos) << full;
+    EXPECT_NE(full.find("\"full\":true"), std::string::npos) << full;
+    EXPECT_NE(full.find("\"transport\":{"), std::string::npos) << full;
+    EXPECT_NE(full.find("\"name\":\"inject\""), std::string::npos);
+    if (!keep) (void)std::remove(path.c_str());
+    aspen::barrier();
+  });
+  if (!keep)
+    (void)std::remove(
+        otrace::export_path(base, aspen::net::endpoint::instance()->self_rank())
+            .c_str());
 }
 
 // ---------------------------------------------------------------------------

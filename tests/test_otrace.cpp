@@ -1,8 +1,9 @@
 // aspen::otrace unit tests: deterministic per-rank sampling, trace-id
 // structure, flight-recorder ring recording and wraparound, scope nesting,
-// the signal-safe dump, and the Perfetto export's flow-event pairing. Pure
-// in-process — the cross-rank causal-chain assertions live in
-// test_net_spmd.cpp (OtraceSpmd) under aspen-run.
+// the one JSON writer (signal-time dump, health header, export flow-event
+// pairing), and the rma entry points feeding the recorder. In-process only
+// — the cross-rank causal-chain assertions live in test_net_spmd.cpp
+// (OtraceSpmd) under aspen-run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,11 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "core/aspen.hpp"
 #include "core/otrace.hpp"
 
 namespace otrace = aspen::otrace;
 
 namespace {
+
+#if ASPEN_TELEMETRY_ENABLED
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -25,7 +29,17 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-#if ASPEN_TELEMETRY_ENABLED
+/// How many flow events in `text` carry flow id `id`.
+int flow_events_with_id(const std::string& text, std::uint64_t id) {
+  char want[64];
+  std::snprintf(want, sizeof want, "\"id\":\"0x%llx\"",
+                static_cast<unsigned long long>(id));
+  int n = 0;
+  for (auto at = text.find(want); at != std::string::npos;
+       at = text.find(want, at + 1))
+    ++n;
+  return n;
+}
 
 /// Reset to a known state: sampling 1-in-1, a small ring, fresh decision
 /// stream, no active trace, empty recorder.
@@ -37,9 +51,12 @@ void arm(std::uint32_t sample_n, const char* base = "otrace_test") {
   otrace::clear();
 }
 
-TEST(Otrace, DumpPathShape) {
-  EXPECT_EQ(otrace::dump_path("aspen", 0), "aspen.rank0.otrace.json");
-  EXPECT_EQ(otrace::dump_path("out/run7", 12), "out/run7.rank12.otrace.json");
+TEST(Otrace, ArtifactPathShapes) {
+  EXPECT_EQ(otrace::export_path("aspen", 0), "aspen.rank0.otrace.json");
+  EXPECT_EQ(otrace::export_path("out/run7", 12),
+            "out/run7.rank12.otrace.json");
+  EXPECT_EQ(otrace::dump_path("aspen", 0), "aspen.rank0.dump.json");
+  EXPECT_EQ(otrace::dump_path("out/run7", 12), "out/run7.rank12.dump.json");
 }
 
 TEST(Otrace, TraceIdCarriesRankAndMonotoneSeq) {
@@ -183,18 +200,25 @@ TEST(Otrace, RingWrapsKeepingTheNewestRecords) {
     EXPECT_EQ(recs[i].aux, recs[i - 1].aux + 1);
 }
 
-TEST(Otrace, SignalSafeDumpWritesTheRing) {
+TEST(Otrace, SignalSafeDumpWritesTheRingAndHealth) {
   arm(1, "otrace_dump_test");
   otrace::note_id(0x77, otrace::stage::inject, 9);
   otrace::note_id(0x77, otrace::stage::fulfill_eager);
-  otrace::dump_now();
+  otrace::dump_signal_safe("signal");
   const std::string path = otrace::dump_path("otrace_dump_test", 3);
   const std::string text = slurp(path);
-  ASSERT_FALSE(text.empty()) << path << " was not written";
-  EXPECT_NE(text.find("\"inject\""), std::string::npos);
-  EXPECT_NE(text.find("\"fulfill_eager\""), std::string::npos);
-  EXPECT_NE(text.find("0x77"), std::string::npos);
   std::remove(path.c_str());
+  ASSERT_FALSE(text.empty()) << path << " was not written";
+  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"inject\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"fulfill_eager\""), std::string::npos);
+  EXPECT_NE(text.find("\"trace\":\"0x77\""), std::string::npos);
+  // The signal path carries only the lock-free health fields.
+  EXPECT_NE(text.find("\"health\":{\"rank\":3,\"reason\":\"signal\""),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"full\":false"), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"oldest_op_class\""), std::string::npos) << text;
 }
 
 TEST(Otrace, ExportPairsFlowEventsAcrossTheWireEdge) {
@@ -205,25 +229,21 @@ TEST(Otrace, ExportPairsFlowEventsAcrossTheWireEdge) {
   otrace::note_id(id, otrace::stage::wire_eager, edge);
   otrace::note_id(id, otrace::stage::wire_deliver, edge);
   otrace::note_id(id, otrace::stage::handler_run);
-  const std::string path = otrace::dump_path("otrace_export_test", 3);
-  ASSERT_TRUE(otrace::export_json(path, 3));
+  const std::string path = otrace::export_path("otrace_export_test", 3);
+  ASSERT_TRUE(otrace::write_json(path.c_str(), 3, nullptr));
   const std::string text = slurp(path);
   std::remove(path.c_str());
   ASSERT_FALSE(text.empty());
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"process_name\""), std::string::npos);
   // One 's' and one 'f' flow event, bound by the same edge id.
-  char want[64];
-  std::snprintf(want, sizeof want, "\"id\":\"0x%llx\"",
-                static_cast<unsigned long long>(edge));
-  const auto first = text.find(want);
-  ASSERT_NE(first, std::string::npos);
-  const auto second = text.find(want, first + 1);
-  ASSERT_NE(second, std::string::npos);
-  EXPECT_EQ(text.find(want, second + 1), std::string::npos);
+  EXPECT_EQ(flow_events_with_id(text, edge), 2);
   EXPECT_NE(text.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(text.find("\"sample_n\":1"), std::string::npos);
+  EXPECT_NE(text.find("\"clock_synced\":"), std::string::npos);
+  EXPECT_EQ(text.find("\"health\""), std::string::npos)
+      << "a region export carries no health header";
 }
 
 TEST(Otrace, RendezvousStagesSaltTheirFlowIds) {
@@ -237,24 +257,36 @@ TEST(Otrace, RendezvousStagesSaltTheirFlowIds) {
   otrace::note_id(id, otrace::stage::wire_data, fid);
   otrace::note_id(id, otrace::stage::wire_deliver,
                   fid ^ otrace::kEdgeSaltData);
-  const std::string path = otrace::dump_path("otrace_rdzv_export", 3);
-  ASSERT_TRUE(otrace::export_json(path, 3));
+  const std::string path = otrace::export_path("otrace_rdzv_export", 3);
+  ASSERT_TRUE(otrace::write_json(path.c_str(), 3, nullptr));
   const std::string text = slurp(path);
   std::remove(path.c_str());
   // Each leg's flow id appears exactly twice: RTS ('s' at the initiator,
   // 'f' at the target), CTS ('s' target, 'f' initiator), DATA ('s'
   // initiator, 'f' at the delivery).
   for (const std::uint64_t salt :
-       {otrace::kEdgeSaltRts, otrace::kEdgeSaltCts, otrace::kEdgeSaltData}) {
-    char want[64];
-    std::snprintf(want, sizeof want, "\"id\":\"0x%llx\"",
-                  static_cast<unsigned long long>(fid ^ salt));
-    const auto first = text.find(want);
-    ASSERT_NE(first, std::string::npos) << want;
-    const auto second = text.find(want, first + 1);
-    ASSERT_NE(second, std::string::npos) << want;
-    EXPECT_EQ(text.find(want, second + 1), std::string::npos) << want;
-  }
+       {otrace::kEdgeSaltRts, otrace::kEdgeSaltCts, otrace::kEdgeSaltData})
+    EXPECT_EQ(flow_events_with_id(text, fid ^ salt), 2) << salt;
+}
+
+TEST(Otrace, SampledRputRecordsInjectAndEagerFulfillment) {
+  arm(1);
+  aspen::spmd(1, [] {
+    auto gp = aspen::new_<std::uint64_t>(0);
+    otrace::clear();
+    aspen::rput(std::uint64_t{1}, gp).wait();
+    const auto recs = otrace::snapshot_records();
+    ASSERT_FALSE(recs.empty());
+    const std::uint64_t id = recs.front().trace;
+    EXPECT_EQ(recs.front().st, otrace::stage::inject);
+    bool fulfilled = false;
+    for (const auto& r : recs)
+      if (r.trace == id && r.st == otrace::stage::fulfill_eager)
+        fulfilled = true;
+    EXPECT_TRUE(fulfilled) << "co-located rput must fulfill eagerly";
+    aspen::delete_(gp);
+  });
+  otrace::configure(0, 1 << 16, nullptr);
 }
 
 TEST(Otrace, StageNamesAreStableAndDistinct) {
@@ -290,10 +322,10 @@ TEST(OtraceOff, EverythingCompilesToNothing) {
   otrace::note_id(7, otrace::stage::am_send, 2);
   EXPECT_EQ(otrace::records_appended(), 0u);
   EXPECT_TRUE(otrace::snapshot_records().empty());
-  EXPECT_FALSE(otrace::export_json("never_written.json", 0));
-  // The unconditional helpers still work (crash-dump paths are compiled
-  // in either way for the docs' sake).
-  EXPECT_EQ(otrace::dump_path("aspen", 1), "aspen.rank1.otrace.json");
+  EXPECT_FALSE(otrace::write_json("never_written.json", 0, nullptr));
+  // The path helpers are compiled in either way.
+  EXPECT_EQ(otrace::export_path("aspen", 1), "aspen.rank1.otrace.json");
+  EXPECT_EQ(otrace::dump_path("aspen", 1), "aspen.rank1.dump.json");
 }
 
 #endif  // ASPEN_TELEMETRY_ENABLED

@@ -1,8 +1,9 @@
-// Stall watchdog (telemetry_lat.hpp): report naming, trip/no-trip behavior
-// on a stalled pending op, the SIGUSR1 forced-report path, and — under
-// aspen-run with ASPEN_WATCHDOG_MS set (ctest net_spmd_watchdog_*) — a
-// cross-process leg where one rank stops progressing and the waiting rank's
-// watchdog must name itself in a health report.
+// Stall watchdog (telemetry_lat.hpp): trip/no-trip behavior on a stalled
+// pending op, the forced-report path SIGUSR2 takes, and — under aspen-run
+// with ASPEN_WATCHDOG_MS set (ctest net_spmd_watchdog_*) — a cross-process
+// leg where one rank stops progressing and the waiting rank's watchdog must
+// name itself in the health header of its flight-recorder dump, which must
+// survive the region-exit export.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,10 +18,12 @@
 #include <vector>
 
 #include "core/aspen.hpp"
+#include "core/otrace.hpp"
 #include "core/telemetry.hpp"
 #include "net/endpoint.hpp"
 
 namespace wd = aspen::telemetry::watchdog;
+namespace otrace = aspen::otrace;
 
 namespace {
 
@@ -35,30 +38,29 @@ void sleep_ms(unsigned ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// Per-test report base under the gtest temp dir; each test cleans up the
-/// rank-0 report it may have produced.
+/// Per-test dump base under the gtest temp dir, sampling off and the ring
+/// empty; each test cleans up the rank-0 dump it may have produced.
 struct report_base {
   std::string base;
   explicit report_base(const char* tag)
       : base(::testing::TempDir() + "aspen_wd_" + tag) {
-    std::remove(wd::report_path(base, 0).c_str());
+    otrace::configure(0, 1 << 16, base.c_str());
+    otrace::clear();
+    std::remove(rank0().c_str());
   }
-  ~report_base() { std::remove(wd::report_path(base, 0).c_str()); }
-  [[nodiscard]] std::string rank0() const { return wd::report_path(base, 0); }
+  ~report_base() { std::remove(rank0().c_str()); }
+  [[nodiscard]] std::string rank0() const {
+    return otrace::dump_path(base, 0);
+  }
 };
-
-TEST(Watchdog, ReportPathNaming) {
-  EXPECT_EQ(wd::report_path("out/job", 3), "out/job.rank3.health.json");
-  EXPECT_EQ(wd::report_path("aspen", 0), "aspen.rank0.health.json");
-}
 
 TEST(Watchdog, ConfigureEnablesAndZeroDisables) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  wd::configure(250, "wdtest");
+  wd::configure(250);
   EXPECT_TRUE(wd::enabled());
   EXPECT_EQ(wd::threshold_ms(), 250u);
-  wd::configure(0, nullptr);
+  wd::configure(0);
   EXPECT_FALSE(wd::enabled());
   EXPECT_EQ(wd::threshold_ms(), 0u);
   EXPECT_EQ(wd::track_op(aspen::telemetry::op_class::amo), 0u)
@@ -69,7 +71,7 @@ TEST(Watchdog, TripsOnStalledPendingOp) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
   report_base rb("trip");
-  wd::configure(50, rb.base.c_str());
+  wd::configure(50);
   const int before = wd::reports_written();
 
   const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::rma_put);
@@ -78,12 +80,16 @@ TEST(Watchdog, TripsOnStalledPendingOp) {
   wd::poll_check();
 
   EXPECT_EQ(wd::reports_written(), before + 1);
+  // With sampling off the dump still lands, carrying no records.
   const std::string body = slurp(rb.rank0());
-  EXPECT_NE(body.find("\"reason\": \"oldest_op\""), std::string::npos)
+  EXPECT_NE(body.find("\"traceEvents\""), std::string::npos) << body;
+  EXPECT_EQ(body.find("\"ph\":\"X\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"reason\":\"oldest_op\""), std::string::npos)
       << body;
-  EXPECT_NE(body.find("\"oldest_op_class\": \"rma_put\""), std::string::npos)
+  EXPECT_NE(body.find("\"oldest_op_class\":\"rma_put\""), std::string::npos)
       << body;
-  EXPECT_NE(body.find("\"pending_ops\": 1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"pending_ops\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"state\":1"), std::string::npos) << body;
 
   // One report per stall episode: the same stall must not spam.
   sleep_ms(60);
@@ -91,14 +97,14 @@ TEST(Watchdog, TripsOnStalledPendingOp) {
   EXPECT_EQ(wd::reports_written(), before + 1);
 
   wd::complete_op(id);
-  wd::configure(0, nullptr);
+  wd::configure(0);
 }
 
 TEST(Watchdog, CleanRunWritesNothing) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
   report_base rb("clean");
-  wd::configure(10'000, rb.base.c_str());
+  wd::configure(10'000);
   const int before = wd::reports_written();
 
   const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::amo);
@@ -108,35 +114,46 @@ TEST(Watchdog, CleanRunWritesNothing) {
 
   EXPECT_EQ(wd::reports_written(), before);
   EXPECT_NE(::access(rb.rank0().c_str(), F_OK), 0)
-      << "health report written on a healthy run";
-  wd::configure(0, nullptr);
+      << "dump written on a healthy run";
+  wd::configure(0);
 }
 
 TEST(Watchdog, RequestReportForcesHealthyDump) {
   if (!aspen::telemetry::compiled_in())
     GTEST_SKIP() << "telemetry compiled out";
-  report_base rb("forced");
-  wd::configure(60'000, rb.base.c_str());
-  const int before = wd::reports_written();
+  // Armed or not: SIGUSR2 is installed for sampling alone too, and the
+  // next check must answer the request either way.
+  for (const std::uint64_t threshold_ms : {60'000u, 0u}) {
+    report_base rb("forced");
+    wd::configure(threshold_ms);
+    const int before = wd::reports_written();
 
-  // Nothing is stalled, but a report was requested (the SIGUSR1 handler
-  // body calls exactly this), so the next check must dump unconditionally.
-  wd::request_report();
-  wd::poll_check();
+    // Nothing is stalled, but a report was requested (the SIGUSR2 handler
+    // calls exactly this), so the next check must dump unconditionally.
+    wd::request_report();
+    wd::poll_check();
 
-  EXPECT_EQ(wd::reports_written(), before + 1);
-  const std::string body = slurp(rb.rank0());
-  EXPECT_NE(body.find("\"reason\": \"sigusr1\""), std::string::npos) << body;
-  wd::configure(0, nullptr);
+    EXPECT_EQ(wd::reports_written(), before + 1) << threshold_ms;
+    const std::string body = slurp(rb.rank0());
+    EXPECT_NE(body.find("\"reason\":\"signal\""), std::string::npos) << body;
+    EXPECT_NE(body.find("\"full\":true"), std::string::npos) << body;
+
+    // The request is consumed: the next check writes nothing.
+    wd::poll_check();
+    EXPECT_EQ(wd::reports_written(), before + 1) << threshold_ms;
+  }
+  wd::configure(0);
 }
 
 // ---------------------------------------------------------------------------
 // Cross-process legs (ctest net_spmd_watchdog_trip / _clean): run under
-// `aspen-run -n 2` with ASPEN_WATCHDOG_MS / ASPEN_WATCHDOG_REPORT set, plus
-// ASPEN_TEST_STALL_MS on the trip leg. Rank 1 stops progressing for the
-// stall window while rank 0 waits on a remote AMO; rank 0's watchdog must
-// trip (naming rank 0, the rank whose op is stuck) iff the stall exceeds
-// the threshold.
+// `aspen-run -n 2` with ASPEN_WATCHDOG_MS / ASPEN_TELEMETRY_TRACE set (the
+// latter samples every op), plus ASPEN_TEST_STALL_MS on the trip leg.
+// Rank 1 stops progressing for the stall window while rank 0 waits on a
+// remote AMO; rank 0's watchdog must trip (naming rank 0, the rank whose op
+// is stuck) iff the stall exceeds the threshold, and its dump — health
+// header plus the records from before the trip — must survive the
+// region-exit export, which writes a file of its own.
 // ---------------------------------------------------------------------------
 
 unsigned long env_ms(const char* name) {
@@ -149,8 +166,7 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
     GTEST_SKIP() << "not under aspen-run (see ctest net_spmd_watchdog_*)";
   const unsigned long wd_ms = env_ms("ASPEN_WATCHDOG_MS");
   const unsigned long stall_ms = env_ms("ASPEN_TEST_STALL_MS");
-  const char* rb = std::getenv("ASPEN_WATCHDOG_REPORT");
-  const std::string base = rb != nullptr && *rb != '\0' ? rb : "aspen";
+  const std::string base = otrace::dump_base();
   const bool expect_trip = stall_ms > wd_ms;
   // With telemetry compiled out (or the threshold unset) the region still
   // runs — under aspen-run every rank must reach the spmd bootstrap — and
@@ -159,7 +175,7 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
 
   // Deterministic config (the same values the environment carries): the
   // smp tests above may have left the watchdog disabled in this process.
-  if (armed) wd::configure(wd_ms, base.c_str());
+  if (armed) wd::configure(wd_ms);
   const int before = wd::reports_written();
 
   const char* nr = std::getenv(aspen::net::kEnvNranks);
@@ -196,22 +212,34 @@ TEST(WatchdogTcp, StallTripsAndCleanDoesNot) {
   if (!armed)
     GTEST_SKIP() << "watchdog not armed in this build/configuration "
                     "(needs ASPEN_TELEMETRY=ON and ASPEN_WATCHDOG_MS)";
-  const std::string report = wd::report_path(base, 0);
+  const std::string dump = otrace::dump_path(base, 0);
+  const std::string export_file = otrace::export_path(base, rank);
   if (rank == 0) {
     if (expect_trip) {
       EXPECT_GT(wd::reports_written(), before)
           << "stalled op never tripped the watchdog";
-      const std::string body = slurp(report);
-      EXPECT_NE(body.find("\"rank\": 0"), std::string::npos) << body;
-      EXPECT_NE(body.find("\"reason\""), std::string::npos) << body;
-      std::remove(report.c_str());
+      const std::string body = slurp(dump);
+      EXPECT_NE(body.find("\"health\":{\"rank\":0,\"reason\":\""),
+                std::string::npos)
+          << body;
+      EXPECT_NE(body.find("\"transport\":{"), std::string::npos) << body;
+      if (otrace::enabled()) {
+        EXPECT_NE(body.find("\"name\":\"inject\""), std::string::npos)
+            << "the dump lost the records from before the trip: " << body;
+      }
+      std::remove(dump.c_str());
     } else {
       EXPECT_EQ(wd::reports_written(), before)
-          << "clean run tripped the watchdog: " << slurp(report);
-      EXPECT_NE(::access(report.c_str(), F_OK), 0);
+          << "clean run tripped the watchdog: " << slurp(dump);
+      EXPECT_NE(::access(dump.c_str(), F_OK), 0);
     }
   }
-  wd::configure(0, nullptr);
+  if (otrace::enabled()) {
+    EXPECT_EQ(::access(export_file.c_str(), F_OK), 0)
+        << "no region-exit export at " << export_file;
+    std::remove(export_file.c_str());
+  }
+  wd::configure(0);
 }
 
 }  // namespace

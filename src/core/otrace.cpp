@@ -98,8 +98,9 @@ ot_state& st() noexcept {
   return *s;
 }
 
+/// Per-thread sampling state (the active trace id lives in the per-op
+/// context, telemetry::detail::tls_op()).
 struct ot_tls {
-  std::uint64_t cur = 0;
   std::uint64_t stream = 0;  ///< sampling decision stream (splitmix64)
   int rank = 0;
   std::uint16_t tag = 0;
@@ -470,14 +471,6 @@ std::uint64_t begin_op() noexcept {
   telemetry::count(telemetry::counter::otrace_sampled);
   return (static_cast<std::uint64_t>(t.rank) << 48) |
          (seq & 0xFFFFFFFFFFFFull);
-}
-
-std::uint64_t current() noexcept { return tls().cur; }
-
-void set_current(std::uint64_t id) noexcept { tls().cur = id; }
-
-void note(stage stg, std::uint64_t aux) noexcept {
-  note_id(tls().cur, stg, aux);
 }
 
 void note_id(std::uint64_t id, stage stg, std::uint64_t aux) noexcept {

@@ -137,17 +137,174 @@ void reset_sampling() noexcept;
 /// when unsampled/disabled. Counts counter::otrace_sampled on a hit.
 [[nodiscard]] std::uint64_t begin_op() noexcept;
 
-/// The trace id active on this thread (0 none).
-[[nodiscard]] std::uint64_t current() noexcept;
-void set_current(std::uint64_t id) noexcept;
-
-/// Append a stage record for the active trace (no-op when none).
-void note(stage st, std::uint64_t aux = 0) noexcept;
-
 /// Append a stage record for an explicit trace id (no-op when 0). Used
 /// where the id was captured earlier — op_records, deferred closures, wire
 /// decode paths.
 void note_id(std::uint64_t id, stage st, std::uint64_t aux = 0) noexcept;
+
+#else  // !ASPEN_TELEMETRY_ENABLED — otrace compiles out entirely.
+
+inline void configure(std::uint32_t, std::uint64_t, const char*) noexcept {}
+[[nodiscard]] inline bool enabled() noexcept { return false; }
+[[nodiscard]] inline std::uint32_t sample_n() noexcept { return 0; }
+[[nodiscard]] inline std::uint64_t ring_capacity() noexcept { return 0; }
+[[nodiscard]] inline const char* dump_base() noexcept { return "aspen"; }
+inline void set_thread_rank(int) noexcept {}
+inline void reset_sampling() noexcept {}
+[[nodiscard]] inline std::uint64_t begin_op() noexcept { return 0; }
+inline void note_id(std::uint64_t, stage, std::uint64_t = 0) noexcept {}
+
+#endif  // ASPEN_TELEMETRY_ENABLED
+
+}  // namespace aspen::otrace
+
+namespace aspen::telemetry {
+
+// ---------------------------------------------------------------------------
+// The per-op context — one thread-local feeding every sink
+// ---------------------------------------------------------------------------
+
+#if ASPEN_TELEMETRY_ENABLED
+
+/// The op being issued on this thread: its issue stamp and class (the
+/// latency histograms, the watchdog) and its trace id (the flight
+/// recorder). Every disposition site in cx_state.hpp reads the one
+/// thread-local instance, so no class/timestamp/trace parameter threads
+/// through the handle_sync/handle_async overloads. Deferred closures and
+/// op_records keep a copy taken at injection and consume it when the
+/// notification finally fires — possibly on another thread, whose record
+/// aggregate() sums anyway.
+struct op_ctx {
+  std::uint64_t issue_ns = 0;
+  std::uint64_t trace = 0;  ///< otrace id (0 = unsampled)
+  op_class cls = op_class::rma_put;
+  bool active = false;  ///< issue_ns/cls were stamped by an op_scope
+
+  /// Record a stage on this op's trace (no-op, and no call, when
+  /// unsampled).
+  void note(otrace::stage st) const noexcept {
+    if (trace != 0) otrace::note_id(trace, st);
+  }
+
+  /// One completion of this op: its fulfill stage and its latency sample
+  /// on the (class, disposition) stream.
+  void fulfill(disposition d) const noexcept {
+    note(d == disposition::eager ? otrace::stage::fulfill_eager
+                                 : otrace::stage::fulfill_deferred);
+    if (active)
+      note_latency(stream_of(cls, d), detail::trace_now_ns() - issue_ns);
+  }
+  /// A completion fired through the progress engine (queued or remote).
+  void fulfill_deferred() const noexcept { fulfill(disposition::deferred); }
+
+  /// Register the op with the stall watchdog (0 when untracked: watchdog
+  /// disabled, or no op_scope was active).
+  [[nodiscard]] std::uint64_t track() const noexcept {
+    return active ? watchdog::track_op(cls, issue_ns) : 0;
+  }
+};
+
+namespace detail {
+[[nodiscard]] inline op_ctx& tls_op() noexcept {
+  static thread_local op_ctx o;
+  return o;
+}
+}  // namespace detail
+
+/// The calling thread's context, by value: what a deferred notification
+/// captures at injection.
+[[nodiscard]] inline op_ctx current_op() noexcept { return detail::tls_op(); }
+
+/// RAII op-issue marker, one per communication entry point. Stamps the
+/// issue time and class, and draws the sample decision unless a trace is
+/// already active (ops issued from inside a sampled op's handler or
+/// completion stay on the enclosing trace), recording inject on a hit.
+/// Restores the enclosing context on exit, so an op issued from inside
+/// another op's inline completion attributes correctly.
+class op_scope {
+ public:
+  explicit op_scope(op_class cls) noexcept : saved_(detail::tls_op()) {
+    op_ctx& o = detail::tls_op();
+    o.issue_ns = detail::trace_now_ns();
+    o.cls = cls;
+    o.active = true;
+    join_or_sample(o);
+  }
+  /// Trace-only form (rpc_ff, which has no local completion): reads no
+  /// clock and leaves the enclosing op's stamp and class in place.
+  op_scope() noexcept : saved_(detail::tls_op()) {
+    join_or_sample(detail::tls_op());
+  }
+  ~op_scope() { detail::tls_op() = saved_; }
+  op_scope(const op_scope&) = delete;
+  op_scope& operator=(const op_scope&) = delete;
+
+  /// The issue stamp (rpc() echoes it through the target).
+  [[nodiscard]] std::uint64_t issue_ns() const noexcept {
+    return detail::tls_op().issue_ns;
+  }
+
+ private:
+  static void join_or_sample(op_ctx& o) noexcept {
+    if (o.trace != 0) return;
+    o.trace = otrace::begin_op();
+    if (o.trace != 0) o.note(otrace::stage::inject);
+  }
+
+  op_ctx saved_;
+};
+
+/// One eager (inline) completion of the op being issued, counted as
+/// cx_eager_taken.
+inline void fulfill_eager() noexcept {
+  count(counter::cx_eager_taken);
+  detail::tls_op().fulfill(disposition::eager);
+}
+
+#else  // !ASPEN_TELEMETRY_ENABLED
+
+struct op_ctx {
+  void note(otrace::stage) const noexcept {}
+  void fulfill_deferred() const noexcept {}
+  [[nodiscard]] std::uint64_t track() const noexcept { return 0; }
+};
+
+[[nodiscard]] inline op_ctx current_op() noexcept { return {}; }
+
+class op_scope {
+ public:
+  explicit op_scope(op_class) noexcept {}
+  op_scope() noexcept {}
+  op_scope(const op_scope&) = delete;
+  op_scope& operator=(const op_scope&) = delete;
+  [[nodiscard]] std::uint64_t issue_ns() const noexcept { return 0; }
+};
+
+static_assert(std::is_empty_v<op_ctx> && sizeof(op_scope) == 1,
+              "with ASPEN_TELEMETRY off the op context must carry no state");
+
+inline void fulfill_eager() noexcept {}
+
+#endif
+
+}  // namespace aspen::telemetry
+
+namespace aspen::otrace {
+
+#if ASPEN_TELEMETRY_ENABLED
+
+/// The trace id active on this thread (0 none).
+[[nodiscard]] inline std::uint64_t current() noexcept {
+  return telemetry::detail::tls_op().trace;
+}
+inline void set_current(std::uint64_t id) noexcept {
+  telemetry::detail::tls_op().trace = id;
+}
+
+/// Append a stage record for the active trace (no-op when none).
+inline void note(stage st, std::uint64_t aux = 0) noexcept {
+  note_id(current(), st, aux);
+}
 
 /// RAII: set the active trace id, restore the previous on exit. Used by
 /// am_message::execute so every AM handler (and any reply it sends) runs
@@ -164,39 +321,6 @@ class scope {
  private:
   std::uint64_t saved_;
 };
-
-/// Injection-site sampler: communication entry points construct one next to
-/// telemetry::op_scope. Draws a sample decision only when no trace is
-/// already active (ops issued from inside a sampled op's handler or
-/// completion stay on the enclosing trace), records the inject stage on a
-/// hit, and restores the previous id on exit.
-class op_scope {
- public:
-  op_scope() noexcept : saved_(current()) {
-    if (saved_ == 0) {
-      const std::uint64_t id = begin_op();
-      if (id != 0) {
-        set_current(id);
-        note(stage::inject);
-      }
-    }
-  }
-  ~op_scope() { set_current(saved_); }
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-
- private:
-  std::uint64_t saved_;
-};
-
-// ---------------------------------------------------------------------------
-// Stage recording (the flight recorder ring)
-// ---------------------------------------------------------------------------
-
-/// Record an eager (inline) fulfillment of the active trace, if any.
-inline void note_fulfill_eager() noexcept {
-  if (current() != 0) note(stage::fulfill_eager);
-}
 
 // ---------------------------------------------------------------------------
 // Dump / export
@@ -233,18 +357,11 @@ void clear() noexcept;
 /// when total exceeds ring_capacity()).
 [[nodiscard]] std::uint64_t records_appended() noexcept;
 
-#else  // !ASPEN_TELEMETRY_ENABLED — otrace compiles out entirely.
+#else  // !ASPEN_TELEMETRY_ENABLED
 
-inline void configure(std::uint32_t, std::uint64_t, const char*) noexcept {}
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-[[nodiscard]] inline std::uint32_t sample_n() noexcept { return 0; }
-[[nodiscard]] inline std::uint64_t ring_capacity() noexcept { return 0; }
-[[nodiscard]] inline const char* dump_base() noexcept { return "aspen"; }
-inline void set_thread_rank(int) noexcept {}
-inline void reset_sampling() noexcept {}
-[[nodiscard]] inline std::uint64_t begin_op() noexcept { return 0; }
 [[nodiscard]] inline std::uint64_t current() noexcept { return 0; }
 inline void set_current(std::uint64_t) noexcept {}
+inline void note(stage, std::uint64_t = 0) noexcept {}
 
 class scope {
  public:
@@ -255,18 +372,6 @@ class scope {
 static_assert(sizeof(scope) == 1,
               "with ASPEN_TELEMETRY off otrace scopes must carry no state");
 
-class op_scope {
- public:
-  op_scope() noexcept = default;
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-};
-static_assert(sizeof(op_scope) == 1,
-              "with ASPEN_TELEMETRY off otrace scopes must carry no state");
-
-inline void note(stage, std::uint64_t = 0) noexcept {}
-inline void note_id(std::uint64_t, stage, std::uint64_t = 0) noexcept {}
-inline void note_fulfill_eager() noexcept {}
 inline void install_handlers() noexcept {}
 inline bool write_json(const char*, int,
                        const telemetry::watchdog::report*) noexcept {

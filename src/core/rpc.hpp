@@ -132,7 +132,7 @@ void send_rpc_ff_tuple(int target, const Fn& fn, const ArgsTuple& args) {
   static_assert(shippable_callable<Fn>,
                 "rpc callables must be trivially copyable");
   telemetry::count(telemetry::counter::rpc_ff_sent);
-  otrace::op_scope ts;
+  telemetry::op_scope os;
   ser_writer w(sizeof(Fn) + 64);
   write_callable(w, fn);
   w.write(args);
@@ -180,16 +180,16 @@ auto rpc(int target, Fn fn, Args&&... args) {
   using RCell = typename detail::rfut_traits<RFut>::cell_t;
 
   telemetry::count(telemetry::counter::rpc_roundtrip);
-  otrace::op_scope ts;
+  telemetry::op_scope os(telemetry::op_class::rpc);
   auto* c = new RCell();
   c->deps = 1;
   c->add_ref();  // the in-flight reply's reference
 
   ser_writer w(2 * sizeof(std::uint64_t) + sizeof(Fn) + 64);
   w.write(reinterpret_cast<std::uint64_t>(c));
-  // Issue timestamp, echoed back in the reply. Always written (0 when
+  // Issue stamp, echoed back in the reply. Always written (0 when
   // telemetry is compiled out) so the request layout is build-independent.
-  w.write(telemetry::lat_now_ns());
+  w.write(os.issue_ns());
   detail::write_callable(w, fn);
   w.write(ArgsTuple(std::forward<Args>(args)...));
 

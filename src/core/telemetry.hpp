@@ -22,12 +22,13 @@
 //   - telemetry::snapshot is a plain value type with operator- for
 //     interval deltas, and to_json() for the benchmark sidecar files.
 //
-// Per-operation traces are aspen::otrace's job (otrace.hpp); this header
-// only owns the clock they share.
+// Per-operation traces and the per-op context live in aspen::otrace
+// (otrace.hpp); this header only owns the clock they share.
 //
 // The whole subsystem sits behind the ASPEN_TELEMETRY CMake option. When
-// the option is OFF every count()/note_*() call compiles to nothing, `record` is an empty type (verified by a
-// static_assert below), and snapshots read as all-zero.
+// the option is OFF every count()/note_*() call compiles to nothing,
+// `record` is an empty type (verified by a static_assert below), and
+// snapshots read as all-zero.
 //
 // This header is deliberately dependency-free (no core/runtime includes)
 // so every layer — gex substrate, progress engine, completion engine,
@@ -431,33 +432,14 @@ void set_clock_sync(std::int64_t offset_ns) noexcept;
 [[nodiscard]] std::int64_t clock_offset_ns() noexcept;
 
 namespace detail {
-
 #if ASPEN_TELEMETRY_ENABLED
 /// Process-relative steady-clock nanoseconds (the latency plane's clock).
 [[nodiscard]] std::uint64_t trace_now_ns() noexcept;
-
-/// The op currently being issued on this thread (op_scope below). The
-/// completion engine (cx_state.hpp) reads it at every disposition site to
-/// attribute the notification's issue->completion latency to the right
-/// lat_stream without threading a class/timestamp parameter through every
-/// handle_sync/handle_async overload.
-struct op_ctx {
-  std::uint64_t issue_ns = 0;
-  op_class cls = op_class::rma_put;
-  bool active = false;
-};
-
-[[nodiscard]] inline op_ctx& tls_op() noexcept {
-  static thread_local op_ctx o;
-  return o;
-}
 #endif
-
 }  // namespace detail
 
 /// The trace clock (process-relative steady ns), or 0 when telemetry is
-/// compiled out. Payload stamps (e.g. the rpc request's issue timestamp)
-/// use this so wire layouts stay identical across build configurations.
+/// compiled out.
 [[nodiscard]] inline std::uint64_t lat_now_ns() noexcept {
 #if ASPEN_TELEMETRY_ENABLED
   return detail::trace_now_ns();
@@ -466,107 +448,19 @@ struct op_ctx {
 #endif
 }
 
-#if ASPEN_TELEMETRY_ENABLED
-
-/// RAII op-issue marker: communication entry points (rput/rget/atomics)
-/// construct one, and every completion notification the op spawns records
-/// now - issue_ns on the stream for (cls, disposition). Nests (saves and
-/// restores the previous context) so an op issued from inside another op's
-/// inline completion attributes correctly.
-class op_scope {
- public:
-  explicit op_scope(op_class cls) noexcept : saved_(detail::tls_op()) {
-    detail::tls_op() = {detail::trace_now_ns(), cls, true};
-  }
-  ~op_scope() { detail::tls_op() = saved_; }
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-
- private:
-  detail::op_ctx saved_;
-};
-
-/// Snapshot of the issuing op's context, captured into deferred-completion
-/// closures and op_records at injection time and consumed when the
-/// notification finally fires (possibly on another thread — the record
-/// written is the firing thread's, which aggregate() sums anyway).
-struct op_capture {
-  std::uint64_t issue_ns = 0;
-  op_class cls = op_class::rma_put;
-  bool active = false;
-
-  op_capture() noexcept {
-    const detail::op_ctx& o = detail::tls_op();
-    issue_ns = o.issue_ns;
-    cls = o.cls;
-    active = o.active;
-  }
-
-  void complete_deferred() const noexcept {
-    if (active)
-      note_latency(stream_of(cls, disposition::deferred),
-                   detail::trace_now_ns() - issue_ns);
-  }
-
-  /// Register the captured op with the stall watchdog (0 when untracked:
-  /// watchdog disabled, or no op_scope was active at capture).
-  [[nodiscard]] std::uint64_t track() const noexcept {
-    return active ? watchdog::track_op(cls) : 0;
-  }
-};
-
-/// Record an eager (inline) completion of the op being issued, if any.
-inline void note_op_eager() noexcept {
-  const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
-    note_latency(stream_of(o.cls, disposition::eager),
-                 detail::trace_now_ns() - o.issue_ns);
-}
-
-/// Record a deferred completion of the op being issued, if any (the
-/// enqueue-time variant; closures that fire later use op_capture).
-inline void note_op_deferred_now() noexcept {
-  const detail::op_ctx& o = detail::tls_op();
-  if (o.active)
-    note_latency(stream_of(o.cls, disposition::deferred),
-                 detail::trace_now_ns() - o.issue_ns);
-}
-
 /// Progress-engine heartbeat: records the inter-arrival gap since this
 /// thread's previous progress() entry (the starvation signal) and feeds
 /// the stall watchdog.
 inline void note_progress_tick() noexcept {
+#if ASPEN_TELEMETRY_ENABLED
   const std::uint64_t now = detail::trace_now_ns();
   static thread_local std::uint64_t last = 0;
   if (last != 0 && now > last)
     note_latency(lat_stream::progress_gap, now - last);
   last = now;
   watchdog::note_progress(now);
-}
-
-#else  // !ASPEN_TELEMETRY_ENABLED
-
-class op_scope {
- public:
-  explicit op_scope(op_class) noexcept {}
-  op_scope(const op_scope&) = delete;
-  op_scope& operator=(const op_scope&) = delete;
-};
-
-static_assert(sizeof(op_scope) == 1,
-              "with ASPEN_TELEMETRY off op scopes must carry no state");
-
-struct op_capture {
-  op_capture() noexcept = default;
-  void complete_deferred() const noexcept {}
-  [[nodiscard]] std::uint64_t track() const noexcept { return 0; }
-};
-
-inline void note_op_eager() noexcept {}
-inline void note_op_deferred_now() noexcept {}
-inline void note_progress_tick() noexcept {}
-
 #endif
+}
 
 /// Is the subsystem compiled in? (Runtime-queryable mirror of the macro.)
 [[nodiscard]] constexpr bool compiled_in() noexcept {

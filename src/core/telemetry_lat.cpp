@@ -95,7 +95,7 @@ namespace {
 struct pending_op {
   op_class cls;
   int rank;               ///< initiating rank (TLS rank at track time)
-  std::uint64_t start_ns; ///< detail::trace_now_ns() at track time
+  std::uint64_t start_ns; ///< the op's issue stamp (detail::trace_now_ns())
 };
 
 /// threshold_ns before ASPEN_WATCHDOG_MS (or configure()) resolved it.
@@ -278,13 +278,12 @@ void set_thread_rank(int rank) noexcept {
   tls().rank = rank < 0 ? 0 : rank;
 }
 
-std::uint64_t track_op(op_class cls) noexcept {
+std::uint64_t track_op(op_class cls, std::uint64_t issue_ns) noexcept {
   if (!enabled()) return 0;
   wd_state& s = st();
-  const std::uint64_t now = detail::trace_now_ns();
   std::lock_guard<std::mutex> lk(s.mu);
   const std::uint64_t id = s.next_id++;
-  s.pending.emplace(id, pending_op{cls, tls().rank, now});
+  s.pending.emplace(id, pending_op{cls, tls().rank, issue_ns});
   s.pending_n.store(s.pending.size(), std::memory_order_relaxed);
   return id;
 }

@@ -256,9 +256,11 @@ void configure(std::uint64_t threshold_ms) noexcept;
 /// telemetry::set_thread_rank); reports name this rank.
 void set_thread_rank(int rank) noexcept;
 
-/// Register a pending remote operation; returns a nonzero handle while the
+/// Register a pending remote operation issued at `issue_ns` (the
+/// detail::trace_now_ns() clock); returns a nonzero handle while the
 /// watchdog is enabled (0 otherwise — complete_op(0) is a no-op).
-[[nodiscard]] std::uint64_t track_op(op_class cls) noexcept;
+[[nodiscard]] std::uint64_t track_op(op_class cls,
+                                     std::uint64_t issue_ns) noexcept;
 void complete_op(std::uint64_t id) noexcept;
 
 /// Progress-engine heartbeat: records this thread's progress timestamp and
@@ -295,7 +297,9 @@ inline void configure(std::uint64_t) noexcept {}
 [[nodiscard]] inline bool enabled() noexcept { return false; }
 [[nodiscard]] inline std::uint64_t threshold_ms() noexcept { return 0; }
 inline void set_thread_rank(int) noexcept {}
-[[nodiscard]] inline std::uint64_t track_op(op_class) noexcept { return 0; }
+[[nodiscard]] inline std::uint64_t track_op(op_class, std::uint64_t) noexcept {
+  return 0;
+}
 inline void complete_op(std::uint64_t) noexcept {}
 inline void note_progress(std::uint64_t) noexcept {}
 inline void poll_check() noexcept {}

@@ -133,8 +133,8 @@ class runtime {
     // Single chokepoint where every conduit's AMs pass: stamp the sender's
     // ambient trace id so sampled ops propagate across handler hops, wire
     // frames, and shm rings alike.
-    if (const std::uint64_t tid = otrace::current(); tid != 0) {
-      msg.set_trace(tid);
+    if (const std::uint64_t trace = otrace::current(); trace != 0) {
+      msg.set_trace(trace);
       otrace::note(otrace::stage::am_send);
     }
     if (wire_ && target != wire_->self_rank()) {

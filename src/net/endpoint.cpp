@@ -68,10 +68,6 @@ long env_long(const char* name) {
   return r;
 }
 
-[[noreturn]] void die_errno(const char* what) {
-  aspen::fatal("net: %s: %s", what, std::strerror(errno));
-}
-
 void append_u64(std::vector<std::byte>& v, std::uint64_t x) {
   const std::size_t off = v.size();
   v.resize(off + sizeof x);
@@ -1024,7 +1020,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   std::size_t work = 0;
   frame f;
   while (p.dec && p.dec->try_next(f)) {
-    process_frame(rt, rank, std::move(f));
+    process_frame(rank, std::move(f));
     ++work;
   }
   if (p.dec && p.dec->in_error()) {
@@ -1050,7 +1046,7 @@ std::size_t endpoint::drain_peer(gex::runtime& rt, int rank) {
   return work;
 }
 
-void endpoint::process_frame(gex::runtime& rt, int rank, frame&& f) {
+void endpoint::process_frame(int rank, frame&& f) {
   peer& p = peer_of(rank);
   switch (f.kind()) {
     case frame_kind::am_eager: {

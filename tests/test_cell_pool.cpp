@@ -72,6 +72,14 @@ TEST(RecyclingPool, OversizeRequestsFallBackToMalloc) {
   EXPECT_EQ(pool.cached_blocks(), 0u);  // too large to cache
 }
 
+TEST(RecyclingPool, SizeOverflowingTheHeaderThrows) {
+  detail::recycling_pool pool;
+  EXPECT_THROW((void)pool.allocate(SIZE_MAX - 8, /*recycle=*/false),
+               std::bad_alloc);
+  EXPECT_THROW((void)pool.allocate(SIZE_MAX, /*recycle=*/true),
+               std::bad_alloc);
+}
+
 TEST(RecyclingPool, FlagFlipMidstreamIsSafe) {
   detail::recycling_pool pool;
   void* a = pool.allocate(64, true);   // pool-tagged

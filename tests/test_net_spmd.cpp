@@ -243,9 +243,10 @@ TEST(NetSpmd, EagerDispositionCrossVsSelf) {
                   dir[static_cast<std::size_t>(aspen::rank_me())])
           .wait();
     const auto d_self = aspen::telemetry::local_snapshot() - before_self;
-    if (aspen::telemetry::compiled_in())
+    if (aspen::telemetry::compiled_in()) {
       EXPECT_GT(d_self.get(c::cx_eager_taken), 0u)
           << "self-targeted rputs must keep the eager path";
+    }
     aspen::barrier();
     aspen::delete_(gp);
   });
@@ -544,16 +545,26 @@ aspen::gex::config otrace_cfg() {
 }
 
 /// RAII arm/disarm so a failing assertion cannot leave sampling enabled
-/// for the suites that follow in this process.
+/// for the suites that follow in this process. On disarm it also removes
+/// this rank's region-exit export under `base`, unless `keep_export`.
 struct otrace_region {
-  explicit otrace_region(const char* base) {
-    otrace::configure(/*sample_n=*/1, /*ring_bytes=*/1 << 20, base);
+  explicit otrace_region(std::string base, bool keep_export = false)
+      : base_(std::move(base)), keep_export_(keep_export) {
+    otrace::configure(/*sample_n=*/1, /*ring_bytes=*/1 << 20, base_.c_str());
     otrace::reset_sampling();
     otrace::clear();
   }
   ~otrace_region() {
     otrace::configure(/*sample_n=*/0, /*ring_bytes=*/1 << 20, nullptr);
+    if (!keep_export_)
+      (void)std::remove(
+          otrace::export_path(
+              base_, aspen::net::endpoint::instance()->self_rank())
+              .c_str());
   }
+
+  std::string base_;
+  bool keep_export_;
 };
 
 std::string slurp(const std::string& path) {
@@ -730,7 +741,7 @@ TEST(OtraceSpmd, RegionExportMergesIntoOneFlowBoundTimeline) {
   const std::string base =
       "/tmp/aspen_otrace_merge." + std::to_string(::getppid());
   {
-    otrace_region arm(base.c_str());
+    otrace_region arm(base, /*keep_export=*/true);  // read and removed below
     aspen::spmd(n, otrace_cfg(), [n] {
       otrace::reset_sampling();
       otrace::clear();
@@ -819,7 +830,7 @@ TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
   const std::string base =
       keep ? env_base
            : "/tmp/aspen_otrace_usr2." + std::to_string(::getppid());
-  otrace_region arm(base.c_str());
+  otrace_region arm(base, keep);
   aspen::spmd(n, otrace_cfg(), [n, keep] {
     otrace::reset_sampling();
     otrace::clear();
@@ -845,10 +856,6 @@ TEST(OtraceSpmd, Sigusr2DumpsTheFlightRecorder) {
     if (!keep) (void)std::remove(path.c_str());
     aspen::barrier();
   });
-  if (!keep)
-    (void)std::remove(
-        otrace::export_path(base, aspen::net::endpoint::instance()->self_rank())
-            .c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -1288,10 +1295,11 @@ TEST(AggSpmd, GupsBitIdenticalAggOnOffAndSmp) {
   EXPECT_EQ(agg_sum, smp_sum)
       << "ASPEN_AGG=1 GUPS diverged from smp at " << n << " ranks";
 
-  if (n > 1 && aspen::telemetry::compiled_in())
+  if (n > 1 && aspen::telemetry::compiled_in()) {
     EXPECT_GT(coalesced, 0u)
         << "the armed region coalesced no frames — aggregation never "
            "engaged";
+  }
 }
 
 // Same equivalence over conduit::shm: staged ring batches (kShmBatch
@@ -1383,9 +1391,10 @@ TEST(AggSpmd, BoundedSendqParksAndDelivers) {
   });
   unsetenv("ASPEN_AGG");
   unsetenv("ASPEN_NET_SENDQ_MAX");
-  if (n > 1)
+  if (n > 1) {
     EXPECT_EQ(hits.load(), kFloods)
         << "rpc_ff flood lost messages under a bounded send queue";
+  }
   // Parking is load-dependent (the pump may keep up), so only report it.
   if (parked > 0)
     std::printf("note: net_sendq_parked=%llu under the %d-message flood\n",

@@ -157,20 +157,29 @@ TEST(Otrace, CurrentScopeRoutesNotesAndRestores) {
 }
 
 TEST(Otrace, OpScopeNestsOntoEnclosingTrace) {
+  using aspen::telemetry::op_class;
+  using aspen::telemetry::op_scope;
   arm(1);
   {
-    otrace::op_scope outer;
+    op_scope outer(op_class::rma_put);
     const std::uint64_t id = otrace::current();
     ASSERT_NE(id, 0u);  // sample_n == 1: always drawn
     {
-      // A nested op (an rput issued from inside a sampled op's completion)
-      // must NOT draw its own id — it stays on the enclosing chain.
-      otrace::op_scope inner;
+      // A nested op (an rget issued from inside a sampled op's completion)
+      // must NOT draw its own id — it stays on the enclosing chain, and so
+      // does the trace-only form rpc_ff uses.
+      op_scope inner(op_class::rma_get);
       EXPECT_EQ(otrace::current(), id);
+      EXPECT_EQ(aspen::telemetry::current_op().cls, op_class::rma_get);
+      op_scope ff;
+      EXPECT_EQ(otrace::current(), id);
+      EXPECT_EQ(aspen::telemetry::current_op().cls, op_class::rma_get);
     }
     EXPECT_EQ(otrace::current(), id);
+    EXPECT_EQ(aspen::telemetry::current_op().cls, op_class::rma_put);
   }
   EXPECT_EQ(otrace::current(), 0u);
+  EXPECT_FALSE(aspen::telemetry::current_op().active);
   // Only the outer scope recorded an inject.
   const auto recs = otrace::snapshot_records();
   ASSERT_EQ(recs.size(), 1u);
@@ -289,6 +298,117 @@ TEST(Otrace, SampledRputRecordsInjectAndEagerFulfillment) {
   otrace::configure(0, 1 << 16, nullptr);
 }
 
+// The per-op context feeds three sinks at once — the latency histograms,
+// the flight recorder and (for remote ops) the watchdog — and all of them
+// must agree on which op a notification belongs to: eager and deferred
+// completions land on their own op's stream and trace id, and an op issued
+// from inside another op's eager completion joins the outer trace without
+// clobbering the outer op's class or id.
+TEST(Otrace, OneContextFeedsEverySink) {
+  namespace tel = aspen::telemetry;
+  using tel::lat_stream;
+  using aspen::operation_cx::as_defer_future;
+  using aspen::operation_cx::as_eager_future;
+  using aspen::operation_cx::as_eager_lpc;
+  arm(1);
+  aspen::spmd(2, [] {
+    if (aspen::rank_me() != 0) {
+      aspen::barrier();
+      return;
+    }
+    auto gp = aspen::new_<std::uint64_t>(0);
+    // Only rank 0 injects; its ids carry rank 0 in the top bits.
+    const auto mine = [] {
+      std::vector<otrace::record_view> out;
+      for (const auto& r : otrace::snapshot_records())
+        if (r.trace >> 48 == 0) out.push_back(r);
+      return out;
+    };
+    const auto samples = [](const tel::snapshot& before, lat_stream s) {
+      return (tel::local_snapshot() - before).lat_of(s).total();
+    };
+
+    // An eager rput: one sample on its eager stream, inject and
+    // fulfill_eager on one id.
+    otrace::clear();
+    auto before = tel::local_snapshot();
+    EXPECT_TRUE(aspen::rput(std::uint64_t{1}, gp, as_eager_future()).ready());
+    EXPECT_EQ(samples(before, lat_stream::rma_put_eager), 1u);
+    EXPECT_EQ(samples(before, lat_stream::rma_put_deferred), 0u);
+    auto recs = mine();
+    ASSERT_EQ(recs.size(), 2u);
+    const std::uint64_t put_id = recs[0].trace;
+    EXPECT_NE(put_id, 0u);
+    EXPECT_EQ(recs[0].st, otrace::stage::inject);
+    EXPECT_EQ(recs[1].st, otrace::stage::fulfill_eager);
+    EXPECT_EQ(recs[1].trace, put_id);
+
+    // A deferred rget: nothing is recorded for its completion until the
+    // progress engine fires it, then one deferred sample and one
+    // fulfill_deferred, on a fresh id.
+    otrace::clear();
+    before = tel::local_snapshot();
+    auto got = aspen::rget(gp, as_defer_future());
+    EXPECT_FALSE(got.ready());
+    EXPECT_EQ(samples(before, lat_stream::rma_get_deferred), 0u);
+    recs = mine();
+    ASSERT_EQ(recs.size(), 1u);
+    const std::uint64_t get_id = recs[0].trace;
+    EXPECT_EQ(recs[0].st, otrace::stage::inject);
+    EXPECT_NE(get_id, put_id);
+    aspen::progress();
+    ASSERT_TRUE(got.ready());
+    EXPECT_EQ(got.result(), 1u);
+    EXPECT_EQ(samples(before, lat_stream::rma_get_deferred), 1u);
+    EXPECT_EQ(samples(before, lat_stream::rma_get_eager), 0u);
+    recs = mine();
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[1].st, otrace::stage::fulfill_deferred);
+    EXPECT_EQ(recs[1].trace, get_id);
+
+    // An rget issued from inside an rput's eager lpc completion: it records
+    // rma_get latency on the outer trace and draws no inject of its own.
+    // The rput's future sits between two such lpcs, so whichever order the
+    // items are processed in, it completes after a nested rget returned —
+    // and must still land on rma_put_eager under the outer id.
+    otrace::clear();
+    before = tel::local_snapshot();
+    std::vector<std::uint64_t> inner_ids;
+    const auto nested_get = [gp, &inner_ids] {
+      inner_ids.push_back(otrace::current());
+      EXPECT_TRUE(aspen::rget(gp, as_eager_future()).ready());
+    };
+    auto put = aspen::rput(std::uint64_t{2}, gp,
+                           as_eager_lpc(nested_get) | as_eager_future() |
+                               as_eager_lpc(nested_get));
+    EXPECT_TRUE(put.ready());
+    EXPECT_EQ(otrace::current(), 0u);
+    EXPECT_EQ(samples(before, lat_stream::rma_put_eager), 3u);
+    EXPECT_EQ(samples(before, lat_stream::rma_get_eager), 2u);
+    EXPECT_EQ(samples(before, lat_stream::rma_get_deferred), 0u);
+    recs = mine();
+    ASSERT_FALSE(recs.empty());
+    const std::uint64_t outer_id = recs[0].trace;
+    EXPECT_EQ(recs[0].st, otrace::stage::inject);
+    ASSERT_EQ(inner_ids.size(), 2u);
+    EXPECT_EQ(inner_ids[0], outer_id);
+    EXPECT_EQ(inner_ids[1], outer_id);
+    int injects = 0;
+    int eager = 0;
+    for (const auto& r : recs) {
+      EXPECT_EQ(r.trace, outer_id);
+      injects += r.st == otrace::stage::inject ? 1 : 0;
+      eager += r.st == otrace::stage::fulfill_eager ? 1 : 0;
+    }
+    EXPECT_EQ(injects, 1);
+    EXPECT_EQ(eager, 5);  // two lpcs, two nested rgets, the rput's future
+
+    aspen::delete_(gp);
+    aspen::barrier();
+  });
+  otrace::configure(0, 1 << 16, nullptr);
+}
+
 TEST(Otrace, StageNamesAreStableAndDistinct) {
   const otrace::stage all[] = {
       otrace::stage::inject,        otrace::stage::am_send,
@@ -312,7 +432,7 @@ TEST(Otrace, StageNamesAreStableAndDistinct) {
 
 // Compiled out: ids are always 0, scopes carry no state, nothing records.
 static_assert(sizeof(otrace::scope) == 1);
-static_assert(sizeof(otrace::op_scope) == 1);
+static_assert(sizeof(aspen::telemetry::op_scope) == 1);
 
 TEST(OtraceOff, EverythingCompilesToNothing) {
   EXPECT_FALSE(otrace::enabled());

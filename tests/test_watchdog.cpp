@@ -63,7 +63,8 @@ TEST(Watchdog, ConfigureEnablesAndZeroDisables) {
   wd::configure(0);
   EXPECT_FALSE(wd::enabled());
   EXPECT_EQ(wd::threshold_ms(), 0u);
-  EXPECT_EQ(wd::track_op(aspen::telemetry::op_class::amo), 0u)
+  EXPECT_EQ(wd::track_op(aspen::telemetry::op_class::amo,
+                         aspen::telemetry::lat_now_ns()), 0u)
       << "a disabled watchdog must not hand out tracking handles";
 }
 
@@ -74,7 +75,8 @@ TEST(Watchdog, TripsOnStalledPendingOp) {
   wd::configure(50);
   const int before = wd::reports_written();
 
-  const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::rma_put);
+  const std::uint64_t id = wd::track_op(
+      aspen::telemetry::op_class::rma_put, aspen::telemetry::lat_now_ns());
   ASSERT_NE(id, 0u);
   sleep_ms(120);  // well past the 50 ms threshold (and the check throttle)
   wd::poll_check();
@@ -107,7 +109,8 @@ TEST(Watchdog, CleanRunWritesNothing) {
   wd::configure(10'000);
   const int before = wd::reports_written();
 
-  const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::amo);
+  const std::uint64_t id = wd::track_op(aspen::telemetry::op_class::amo,
+                                        aspen::telemetry::lat_now_ns());
   wd::complete_op(id);  // completes promptly: nothing is pending
   sleep_ms(5);
   wd::poll_check();
